@@ -55,9 +55,11 @@ _ERRORS = (ParseError, GraphError, ExprError, AlgebraError,
 
 def _budget(ns) -> monoids.Budget:
     base = monoids.default_budget()
+    coord_sum = getattr(ns, "budget_sum", None)
+    states = getattr(ns, "budget_states", None)
     return monoids.Budget(
-        coord_sum=getattr(ns, "budget_sum", None) or base.coord_sum,
-        states=getattr(ns, "budget_states", None) or base.states)
+        coord_sum=base.coord_sum if coord_sum is None else coord_sum,
+        states=base.states if states is None else states)
 
 
 def _prov(graph=None, alg=None, budget=None) -> dict:

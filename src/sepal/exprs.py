@@ -83,9 +83,9 @@ def _parse(text: str, names: list[str]):
         return toks[pos] if pos < len(toks) else (None, None, len(text))
 
     terms = []
-    sign = Fraction(1)
+    sign = 1
     if peek()[0] == "-":
-        sign = Fraction(-1)
+        sign = -1
         pos += 1
     while True:
         coeff = sign
@@ -126,9 +126,9 @@ def _parse(text: str, names: list[str]):
         if kind is None:
             return terms
         if kind == "+":
-            sign = Fraction(1)
+            sign = 1
         elif kind == "-":
-            sign = Fraction(-1)
+            sign = -1
         else:
             raise ExprError(f"expected '+' or '-' at {at}")
         pos += 1

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import constructions as cons
 from .graphs import (
@@ -32,26 +31,36 @@ from .graphs import (
     require_valid,
     vertex_weight,
 )
-from .staralg import AlgebraError, AlgElement, StarAlgebra, normal_form
+from .staralg import (
+    AlgebraError,
+    AlgElement,
+    Coeff,
+    StarAlgebra,
+    as_coeff,
+    normal_form,
+)
 
 GenWord = tuple[tuple[str, bool], ...]
 
 
 class GenExpr:
-    """Formal rational combination of words in named generators."""
+    """Formal combination of words in named generators.
+
+    Coefficients are integers; an exact ``Fraction`` is kept when a caller
+    supplies one."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[GenWord, Fraction] | None = None):
-        self.terms = {w: Fraction(c) for w, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict[GenWord, Coeff] | None = None):
+        self.terms = {w: as_coeff(c) for w, c in (terms or {}).items() if c}
 
     @staticmethod
     def gen(name: str, starred: bool = False) -> "GenExpr":
-        return GenExpr({((name, starred),): Fraction(1)})
+        return GenExpr({((name, starred),): 1})
 
     @staticmethod
     def word(*items: tuple[str, bool]) -> "GenExpr":
-        return GenExpr({tuple(items): Fraction(1)})
+        return GenExpr({tuple(items): 1})
 
     @staticmethod
     def zero() -> "GenExpr":
@@ -60,7 +69,7 @@ class GenExpr:
     def __add__(self, other: "GenExpr") -> "GenExpr":
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
+            terms[w] = terms.get(w, 0) + c
         return GenExpr(terms)
 
     def __neg__(self) -> "GenExpr":
@@ -70,11 +79,11 @@ class GenExpr:
         return self + (-other)
 
     def __mul__(self, other: "GenExpr") -> "GenExpr":
-        terms: dict[GenWord, Fraction] = {}
+        terms: dict[GenWord, Coeff] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 w = wa + wb
-                terms[w] = terms.get(w, Fraction(0)) + ca * cb
+                terms[w] = terms.get(w, 0) + ca * cb
         return GenExpr(terms)
 
     def star(self) -> "GenExpr":

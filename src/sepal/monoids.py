@@ -214,12 +214,23 @@ class Budget:
     coord_sum: int = 32
     states: int = 10 ** 6
 
+    def __post_init__(self):
+        for name in ("coord_sum", "states"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise GraphError(
+                    f"budget {name} must be positive, not {value}")
+
 
 def default_budget() -> Budget:
     states = os.environ.get("SEPAL_BUDGET_STATES")
-    if states:
+    if not states:
+        return Budget()
+    try:
         return Budget(states=int(states))
-    return Budget()
+    except ValueError:
+        raise GraphError("SEPAL_BUDGET_STATES must be a positive integer, "
+                         f"not {states!r}") from None
 
 
 @dataclass(frozen=True)

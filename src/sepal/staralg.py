@@ -1,7 +1,11 @@
 """Star algebra of a separated graph with a confluent normal form.
 
-Elements are rational linear combinations of words over direct and ghost
-edge letters, plus one trivial word per vertex.  Words store composability
+Elements are linear combinations of words over direct and ghost edge
+letters, plus one trivial word per vertex.  Coefficients are integers:
+every relation and rewrite rule has coefficients ±1, so the core works
+over Z.  A rational that a caller supplies (through ``element``, ``scale``
+or a parsed expression) stays an exact ``Fraction`` and mixes with the
+integers through plain arithmetic.  Words store composability
 internally, so raw products of incomposable words vanish without any
 rewriting.  ``normal_form`` rewrites against two local patterns:
 
@@ -31,6 +35,7 @@ VERTEX = 2
 
 Letter = tuple[str, int]
 Word = tuple[Letter, ...]
+Coeff = int | Fraction
 
 
 class AlgebraError(ValueError):
@@ -72,20 +77,20 @@ class StarAlgebra:
     def vertex(self, name: str) -> "AlgElement":
         if name not in self.vertex_names:
             raise AlgebraError(f"unknown vertex {name!r}")
-        return AlgElement(self, {((name, VERTEX),): Fraction(1)})
+        return AlgElement(self, {((name, VERTEX),): 1})
 
     def edge(self, name: str) -> "AlgElement":
         if name not in self._src:
             raise AlgebraError(f"unknown edge {name!r}")
-        return AlgElement(self, {((name, DIRECT),): Fraction(1)})
+        return AlgElement(self, {((name, DIRECT),): 1})
 
     def ghost(self, name: str) -> "AlgElement":
         if name not in self._src:
             raise AlgebraError(f"unknown edge {name!r}")
-        return AlgElement(self, {((name, GHOST),): Fraction(1)})
+        return AlgElement(self, {((name, GHOST),): 1})
 
-    def element(self, terms: dict[Word, Fraction]) -> "AlgElement":
-        return AlgElement(self, {w: Fraction(c) for w, c in terms.items()
+    def element(self, terms: dict[Word, Coeff]) -> "AlgElement":
+        return AlgElement(self, {w: as_coeff(c) for w, c in terms.items()
                                  if c != 0})
 
     # -- word geometry
@@ -107,6 +112,12 @@ class StarAlgebra:
 
     def word_range(self, word: Word) -> str:
         return self.letter_range(word[-1])
+
+
+def as_coeff(c) -> Coeff:
+    """A coefficient from outside the core: ints pass through unchanged,
+    anything else becomes an exact ``Fraction``."""
+    return c if type(c) is int else Fraction(c)
 
 
 def _measure(alg: StarAlgebra, word: Word):
@@ -132,7 +143,7 @@ class AlgElement:
 
     __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: StarAlgebra, terms: dict[Word, Fraction]):
+    def __init__(self, alg: StarAlgebra, terms: dict[Word, Coeff]):
         self.alg = alg
         self.terms = terms
 
@@ -148,7 +159,7 @@ class AlgElement:
         self._need_same(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            c2 = terms.get(w, Fraction(0)) + c
+            c2 = terms.get(w, 0) + c
             if c2:
                 terms[w] = c2
             else:
@@ -162,7 +173,7 @@ class AlgElement:
         return self + (-other)
 
     def scale(self, c) -> "AlgElement":
-        c = Fraction(c)
+        c = as_coeff(c)
         if c == 0:
             return AlgElement(self.alg, {})
         return AlgElement(self.alg, {w: c * k for w, k in self.terms.items()})
@@ -172,13 +183,13 @@ class AlgElement:
             return self.scale(other)
         self._need_same(other)
         alg = self.alg
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Coeff] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
                 w = _word_mul(alg, wa, wb)
                 if w is None:
                     continue
-                c = out.get(w, Fraction(0)) + ca * cb
+                c = out.get(w, 0) + ca * cb
                 if c:
                     out[w] = c
                 else:
@@ -277,7 +288,7 @@ def normal_form(elem: AlgElement, strategy: str = "leftmost",
         raise AlgebraError("random strategy needs an rng")
     alg = elem.alg
     pending = dict(elem.terms)
-    done: dict[Word, Fraction] = {}
+    done: dict[Word, Coeff] = {}
     steps = 0
     while pending:
         word, coeff = pending.popitem()
@@ -285,7 +296,7 @@ def normal_form(elem: AlgElement, strategy: str = "leftmost",
             continue
         spots = list(_redexes(alg, word))
         if not spots:
-            c = done.get(word, Fraction(0)) + coeff
+            c = done.get(word, 0) + coeff
             if c:
                 done[word] = c
             else:
@@ -299,7 +310,7 @@ def normal_form(elem: AlgElement, strategy: str = "leftmost",
             if audit:
                 assert _measure(alg, new_word) < _measure(alg, word), \
                     "rewrite failed to shrink the term measure"
-            c = pending.get(new_word, Fraction(0)) + sign * coeff
+            c = pending.get(new_word, 0) + sign * coeff
             if c:
                 pending[new_word] = c
             else:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -70,6 +71,33 @@ def test_unknown_budget_exit(omega0_path):
                          "--x", "v", "--y", "3 v", "--budget-states", "1")
     assert code == 3
     assert doc["payload"]["answer"] == "unknown"
+    assert doc["provenance"]["budget"]["states"] == 1
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--budget-states", "0"), ("--budget-states", "-1"),
+    ("--budget-sum", "0"), ("--budget-sum", "-2")])
+def test_non_positive_budget_is_an_error(omega0_path, flag, value):
+    code, doc = run_json("monoid", "leavitt-type", "--graph", omega0_path,
+                         "--generator", "v", flag, value)
+    assert code == 2
+    assert "must be positive" in doc["payload"]["message"]
+
+
+@pytest.mark.parametrize("value", ["0", "-4", "lots", "2.5"])
+def test_bad_budget_environment_is_an_error(omega0_path, monkeypatch, value):
+    monkeypatch.setenv("SEPAL_BUDGET_STATES", value)
+    code, doc = run_json("monoid", "leavitt-type", "--graph", omega0_path,
+                         "--generator", "v")
+    assert code == 2
+    assert "SEPAL_BUDGET_STATES" in doc["payload"]["message"]
+
+
+def test_garbage_budget_flag_is_a_usage_error(omega0_path):
+    with pytest.raises(SystemExit) as exc:
+        run("monoid", "leavitt-type", "--graph", omega0_path,
+            "--generator", "v", "--budget-states", "lots")
+    assert exc.value.code == 2
 
 
 def test_congruent_no_is_fail(wmax22_path):
@@ -106,6 +134,57 @@ def test_json_runs_are_byte_identical(e23_path, omega0_path, wmax22_path):
         b = run("--json", *argv)
         assert a == b, argv
         assert a[0] == 0
+
+
+# sha256 of the --json reports, recorded while the algebra core still kept
+# every coefficient as a Fraction: the report bytes must not depend on the
+# coefficient type.  (verb, fixture, argument, digest)
+JSON_DIGESTS = [
+    ("nf", "e23", "3/2 e3 e3*",
+     "cb1caaa517f8c92ee6120aeb8cc015a3f074fa6dc3b5e416bdc1a68939066b2a"),
+    ("nf", "e23", "1/2 v + 1/2 v",
+     "a5a0b9e8dff2dd8b55d811346bdf18165e00dba57ed59264d726db35bb352ad7"),
+    ("nf", "e23", "2/4 e1",
+     "7b9c9eb471e323bebb067a8220c6ecbb76afb2ced0eee9280c2761a32c9aed89"),
+    ("nf", "wmax22", "3/2 e1.1 e1.1* - 1/2 v",
+     "2b177c6f5f2b4f411751be34b8f6fe0b2f3cd0b1e7eb38f9d1f99a17b57a34da"),
+    ("verify", "wmax22", "phi",
+     "a60dee729a2931ea24a15f7c49b61691b1890c461d1b7383bec73fcbf5fcd460"),
+    ("verify", "wmax22", "phi1",
+     "f78eb5875a7cd0194092e90ce8287bef189967fde787775f264758d7f5fa9359"),
+    ("verify", "omega0_35", "phi1",
+     "bb5c0d05438a198c2162b843aecd8230fb29d0deb9270876924af18169c5a8d9"),
+    ("verify", "e23", "phi0",
+     "6782e096180b36dae4e3616300a582f13754d900d536720839795838991d6c34"),
+    ("verify", "e23", "rho-tau",
+     "d7f28fe360a44619ff31d651fc294696ef44dfb437546f0b1923fb867f485770"),
+    ("ideal-gens", "e23", "kernel",
+     "1e85a8820a0c21fe190542a13c433a9d7c2fdb9426fa746ea6415886aa791116"),
+    ("ideal-gens", "wmax22", "i0",
+     "7fa95b66efbb2957721641acc6d3b2b9619708beb5b6f57a849c34d7b5051c83"),
+    ("ideal-gens", "e23", "commutator",
+     "26db694240122a5a4e613626e82717e30c73f0347c3a4fb994c5c071e9d2d5b2"),
+    ("ideal-gens", "wmax22", "commutator",
+     "712d1cf988e1a5c85263e3ba004aa017e9d3693d38c826efaec79960346d5675"),
+    ("ideal-gens", "omega0_35", "commutator",
+     "d1fae51a1f4eb11b583e021eeeb8511ceda28c152afde5a87d0e77e6a63d3fa6"),
+]
+
+
+@pytest.mark.parametrize("verb, fixture, arg, digest", JSON_DIGESTS,
+                         ids=[f"{v}-{f}-{a}" for v, f, a, _ in JSON_DIGESTS])
+def test_json_reports_match_recorded_digests(fixture_dir, verb, fixture, arg,
+                                             digest):
+    path = str(fixture_dir / f"{fixture}.txt")
+    if verb == "nf":
+        argv = ["nf", "--graph", path, arg]
+    elif verb == "verify":
+        argv = ["verify", arg, "--graph", path]
+    else:
+        argv = ["ideal-gens", "--graph", path, "--kind", arg, "--bound", "2"]
+    code, text = run("--json", *argv)
+    assert code == 0, argv
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
 
 
 # --- graph output round trips ---------------------------------------------------------

@@ -96,4 +96,5 @@ def test_weighted_star_flag(omega0_35):
     expr = parse_weighted("e1.2* e2.1 - 3 v", omega0_35)
     words = sorted(expr.terms, key=len)
     assert expr.terms[(("v", False),)] == -3
+    assert all(type(c) is int for c in expr.terms.values())
     assert (("e1.2", True), ("e2.1", False)) in expr.terms

@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepal import constructions as cons
-from sepal.graphs import GraphError
+from sepal.graphs import GraphError, is_vertex_weighted
 from sepal.homs import (
     GenExpr,
     apply_map,
@@ -30,6 +31,7 @@ from sepal.staralg import (
     corner,
     normal_form,
 )
+from sepal.sweeps import weighted_sweep
 
 nf = normal_form
 
@@ -263,3 +265,31 @@ def test_phi1_separates_short_pair_words(wmax22):
                 assert seen.setdefault(key, word) == word, \
                     f"{word} collides with {seen[key]}"
     assert len(seen) > 8
+
+
+# --- integer coefficients -----------------------------------------------------------
+
+
+def _in_z(terms) -> bool:
+    return all(type(c) is int for c in terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(weighted_sweep(2, 3, 2)))
+def test_core_stays_in_z(g):
+    pairs = [(phi1(g), relations("weighted-l1", g))]
+    if is_vertex_weighted(g):
+        pairs.append((phi_vw(g), relations("weighted", g)))
+        double = cons.separated_of_vertex_weighted(g)
+        pairs.append((phi0(double), relations("separated", double.base)))
+        tau = rho_tau(double)
+        pairs += [(tau, relations(kind, double)) for kind in ("lv", "lw")]
+    for gmap, rels in pairs:
+        for name, img in gmap.images.items():
+            assert _in_z(img.terms), (gmap.kind, name)
+        for label, expr in rels.relations:
+            assert _in_z(expr.terms), (rels.kind, label)
+            # term by term, since every relation evaluates to zero
+            for word, c in expr.terms.items():
+                img = evaluate(GenExpr({word: c}), gmap)
+                assert _in_z(img.terms), (gmap.kind, label, word)

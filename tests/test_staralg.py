@@ -2,9 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sepal.constructions import build_emn
+from sepal.constructions import (
+    build_emn,
+    separated_of_vertex_weighted,
+    separated_of_weighted,
+)
+from sepal.graphs import is_vertex_weighted
 from sepal.staralg import (
+    DIRECT,
+    GHOST,
+    VERTEX,
     AlgebraError,
     StarAlgebra,
     basis_words,
@@ -15,6 +24,7 @@ from sepal.staralg import (
     normal_form,
 )
 from sepal.exprs import parse_element
+from sepal.sweeps import weighted_sweep
 
 
 def nf(x, **kw):
@@ -202,3 +212,55 @@ def test_equals(A23):
     b = parse_element("v - e1 e1* - e2 e2*", A23)
     assert equals(a, b)
     assert not equals(a, A23.vertex("v"))
+
+
+# --- coefficients ---------------------------------------------------------------
+
+# E(2,3) and the separated companions of the small weighted graphs
+SMALL = weighted_sweep(2, 2, 2)
+CARRIERS = ([build_emn(2, 3)]
+            + [separated_of_weighted(g) for g in SMALL]
+            + [separated_of_vertex_weighted(g) for g in SMALL
+               if is_vertex_weighted(g)])
+
+
+@st.composite
+def int_elements(draw):
+    """An algebra over one of ``CARRIERS`` and a sum of composable, not
+    necessarily reduced, words with small integer coefficients."""
+    alg = StarAlgebra(draw(st.sampled_from(CARRIERS)))
+    edges = alg.sep.graph.edge_names
+    letters = [(e, DIRECT) for e in edges] + [(e, GHOST) for e in edges]
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            word = ((draw(st.sampled_from(sorted(alg.vertex_names))),
+                     VERTEX),)
+        else:
+            word = (draw(st.sampled_from(letters)),)
+            for _ in range(draw(st.integers(0, 3))):
+                nxt = [l for l in letters
+                       if alg.letter_source(l) == alg.word_range(word)]
+                if not nxt:
+                    break
+                word += (draw(st.sampled_from(nxt)),)
+        terms[word] = draw(st.integers(-3, 3))
+    return alg.element(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_elements(), st.fractions(max_denominator=12))
+def test_scaling_commutes_with_normalizing(x, r):
+    assert all(type(c) is int for c in x.terms.values())
+    normal = nf(x)
+    assert all(type(c) is int for c in normal.terms.values())
+    assert nf(x.scale(r)) == normal.scale(r)
+
+
+def test_scale_keeps_rationals_exact(A23):
+    r = Fraction(3, 2)
+    assert A23.vertex("v").scale(r).terms == {(("v", VERTEX),): r}
+    x = nf((A23.edge("e3") * A23.ghost("e3")).scale(r))
+    assert sorted(x.terms.values()) == [-r, -r, r]
+    assert nf(A23.vertex("v").scale(Fraction(1, 2))
+              + A23.vertex("v").scale(Fraction(1, 2))) == A23.vertex("v")
