@@ -54,12 +54,14 @@ _ERRORS = (ParseError, GraphError, ExprError, AlgebraError,
 
 
 def _budget(ns) -> monoids.Budget:
-    base = monoids.default_budget()
     coord_sum = getattr(ns, "budget_sum", None)
     states = getattr(ns, "budget_states", None)
+    if states is None:
+        # SEPAL_BUDGET_STATES is only a default for the missing flag
+        states = monoids.default_budget().states
     return monoids.Budget(
-        coord_sum=base.coord_sum if coord_sum is None else coord_sum,
-        states=base.states if states is None else states)
+        coord_sum=monoids.Budget.coord_sum if coord_sum is None else coord_sum,
+        states=states)
 
 
 def _prov(graph=None, alg=None, budget=None) -> dict:
@@ -161,9 +163,8 @@ def _cmd_hsat(ns):
         payload = {"closure": sorted(h)}
         return "ok", payload, _prov(g), ["closure: " + " ".join(sorted(h))]
     if ns.what == "enumerate":
-        sets = cons.enumerate_hsat(g, method=ns.method)
-        payload = {"count": len(sets), "sets": [sorted(h) for h in sets],
-                   "method": ns.method}
+        sets = cons.enumerate_hsat(g)
+        payload = {"count": len(sets), "sets": [sorted(h) for h in sets]}
         lines = [f"{len(sets)} hereditary saturated sets"] + [
             "  {" + " ".join(sorted(h)) + "}" for h in sets]
         return "ok", payload, _prov(g), lines
@@ -454,11 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("hsat", help="hereditary saturated vertex sets")
-    p.add_argument("what", choices=("check", "closure", "enumerate"))
+    p.add_argument("what", choices=("check", "closure", "enumerate"),
+                   help="test --set, close --set, or list every such set")
     p.add_argument("--graph", required=True)
     p.add_argument("--set", default="")
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "brute", "fixpoint"))
     p.set_defaults(handler=_cmd_hsat)
 
     p = sub.add_parser("nf", help="normal form of an element expression")

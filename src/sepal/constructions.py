@@ -25,7 +25,6 @@ from .graphs import (
     WeightedGraph,
     is_vertex_weighted,
     require_valid,
-    validate,
     vertex_weight,
 )
 
@@ -132,10 +131,8 @@ def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
         edges += [(h, name_upper_copy(v), name_lower_copy(v)) for h in hs]
         sep[name_upper_copy(v)] = [tildes, hs]
     graph = DirectedGraph.make(upper + lower, edges)
-    out = BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
-                                       upper=upper, lower=lower)
-    require_valid(out)
-    return out
+    return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
+                                        upper=upper, lower=lower)
 
 
 def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
@@ -168,10 +165,8 @@ def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
             sep[w].append([name_alpha(x, rest)
                            for rest in itertools.product(*others)])
     graph = DirectedGraph.make(new_upper + tuple(new_lower), edges)
-    out = BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
-                                       upper=new_upper, lower=tuple(new_lower))
-    require_valid(out)
-    return out
+    return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
+                                        upper=new_upper, lower=tuple(new_lower))
 
 
 def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
@@ -204,10 +199,8 @@ def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
         if groups:
             sep[v] = groups
     graph = DirectedGraph.make(d.vertices + lower, edges)
-    out = BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
-                                       upper=d.vertices, lower=lower)
-    require_valid(out)
-    return out
+    return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
+                                        upper=d.vertices, lower=lower)
 
 
 def thm310_hidden_vertices(g: WeightedGraph) -> frozenset[str]:
@@ -325,11 +318,9 @@ def bratteli(g: BipartiteSeparatedGraph, depth: int,
         seen_edges += list(layer.edges)
         for v, groups in layer.separation:
             seen_sep[v] = [list(grp) for grp in groups]
-        union = SeparatedGraph.make(
+        unions.append(SeparatedGraph.make(
             DirectedGraph.make(list(seen_vertices), list(seen_edges)),
-            {v: [list(g2) for g2 in gs] for v, gs in seen_sep.items()})
-        require_valid(union)
-        unions.append(union)
+            {v: [list(g2) for g2 in gs] for v, gs in seen_sep.items()}))
     return BratteliTower(tuple(layers), tuple(unions))
 
 
@@ -404,30 +395,16 @@ def _hsat_key(h: frozenset[str]):
     return (len(h), tuple(sorted(h)))
 
 
-def enumerate_hsat(g, method: str = "auto") -> list[frozenset[str]]:
+def enumerate_hsat(g) -> list[frozenset[str]]:
     """All hereditary group-saturated vertex sets, smallest first.
 
-    ``brute`` scans every vertex subset and is kept as the test oracle
-    (refused beyond 20 vertices); ``fixpoint`` grows closures of one-vertex
-    extensions from the bottom.  ``auto`` picks by size.
+    Every such set is reached from the closure of the empty set by a chain
+    of closures that each add one vertex, so the search closes every set
+    found with each vertex outside it until nothing new appears.  The
+    tests compare it with a scan over all vertex subsets.
     """
     s = to_separated(g)
     require_valid(s)
-    n = len(s.graph.vertices)
-    if method == "auto":
-        method = "brute" if n <= 12 else "fixpoint"
-    if method == "brute":
-        if n > 20:
-            raise ResourceLimitError(f"brute scan over 2^{n} subsets refused")
-        found = []
-        for bits in itertools.product((False, True), repeat=n):
-            h = frozenset(v for v, b in zip(s.graph.vertices, bits) if b)
-            rep = is_hsat(s, h)
-            if rep.hereditary and rep.saturated:
-                found.append(h)
-        return sorted(found, key=_hsat_key)
-    if method != "fixpoint":
-        raise GraphError(f"unknown method {method!r}")
     bottom = hsat_closure(s, ())
     seen = {bottom}
     queue = [bottom]
@@ -459,7 +436,6 @@ def quotient_graph(g, subset: Iterable[str]):
     sep = {v: [[x for x in grp if x in kept] for grp in groups]
            for v, groups in s.separation if v not in h}
     out = SeparatedGraph.make(DirectedGraph.make(vertices, edges), sep)
-    require_valid(out)
     if isinstance(g, BipartiteSeparatedGraph):
         return BipartiteSeparatedGraph.make(
             out, upper=[v for v in g.upper if v not in h],

@@ -11,8 +11,10 @@ All graph values are immutable after construction and hashable, so they can
 be shared freely between algebra carriers, caches and test fixtures.
 Constructors never raise on semantically malformed data: ``validate``
 returns a list of human-readable violations and ``require_valid`` turns a
-non-empty report into a ``GraphError``.  Operations that assume a valid
-graph call ``require_valid`` up front.
+non-empty report into a ``GraphError``.  Validation happens once, where a
+graph enters: every public function calls ``require_valid`` on its graph
+arguments.  Functions that build graphs from a checked input do not
+re-check their outputs; the tests assert that those outputs are valid.
 """
 
 from __future__ import annotations

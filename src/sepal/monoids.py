@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from operator import add, ge, sub
 from typing import Iterable, Sequence
 
 from . import constructions as cons
@@ -249,8 +250,10 @@ def _moves(p: MonoidPresentation):
 
 
 def _step(v: Vec, l: Vec, r: Vec) -> Vec | None:
-    if all(a >= b for a, b in zip(v, l)):
-        return tuple(a - b + c for a, b, c in zip(v, l, r))
+    # The inner loop of congruent and order_ideal_oracle: map over the
+    # operator functions rather than a generator expression per coordinate.
+    if all(map(ge, v, l)):
+        return tuple(map(add, map(sub, v, l), r))
     return None
 
 

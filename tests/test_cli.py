@@ -5,7 +5,9 @@ import json
 import pytest
 
 from sepal.cli import main
-from sepal.graphio import parse_graph
+from sepal.graphio import load_graph, parse_graph, print_graph
+from sepal.graphs import validate
+from test_constructions import BAD_BIP, hsat_by_scan
 
 
 def run(*argv):
@@ -87,10 +89,24 @@ def test_non_positive_budget_is_an_error(omega0_path, flag, value):
 @pytest.mark.parametrize("value", ["0", "-4", "lots", "2.5"])
 def test_bad_budget_environment_is_an_error(omega0_path, monkeypatch, value):
     monkeypatch.setenv("SEPAL_BUDGET_STATES", value)
-    code, doc = run_json("monoid", "leavitt-type", "--graph", omega0_path,
-                         "--generator", "v")
-    assert code == 2
-    assert "SEPAL_BUDGET_STATES" in doc["payload"]["message"]
+    for flags in [(), ("--budget-sum", "10")]:
+        code, doc = run_json("monoid", "leavitt-type", "--graph", omega0_path,
+                             "--generator", "v", *flags)
+        assert code == 2, flags
+        assert "SEPAL_BUDGET_STATES" in doc["payload"]["message"]
+
+
+def test_budget_flags_need_no_environment(omega0_path, monkeypatch):
+    # the variable only stands in for a missing --budget-states
+    monkeypatch.setenv("SEPAL_BUDGET_STATES", "abc")
+    for flags, budget in [
+            (("--budget-states", "500", "--budget-sum", "10"),
+             {"coord_sum": 10, "states": 500}),
+            (("--budget-states", "500"), {"coord_sum": 32, "states": 500})]:
+        code, doc = run_json("monoid", "leavitt-type", "--graph", omega0_path,
+                             "--generator", "v", *flags)
+        assert code == 0, flags
+        assert doc["provenance"]["budget"] == budget
 
 
 def test_garbage_budget_flag_is_a_usage_error(omega0_path):
@@ -136,9 +152,11 @@ def test_json_runs_are_byte_identical(e23_path, omega0_path, wmax22_path):
         assert a[0] == 0
 
 
-# sha256 of the --json reports, recorded while the algebra core still kept
-# every coefficient as a Fraction: the report bytes must not depend on the
-# coefficient type.  (verb, fixture, argument, digest)
+# sha256 of the --json reports: (verb, fixture, argument, digest).  The nf,
+# verify and ideal-gens digests were recorded while the algebra core kept
+# every coefficient as a Fraction; the construct, monoid and mnlab ones while
+# every constructor re-validated its output and enumerate_hsat scanned small
+# graphs subset by subset.  The report bytes must depend on neither.
 JSON_DIGESTS = [
     ("nf", "e23", "3/2 e3 e3*",
      "cb1caaa517f8c92ee6120aeb8cc015a3f074fa6dc3b5e416bdc1a68939066b2a"),
@@ -168,23 +186,71 @@ JSON_DIGESTS = [
      "712d1cf988e1a5c85263e3ba004aa017e9d3693d38c826efaec79960346d5675"),
     ("ideal-gens", "omega0_35", "commutator",
      "d1fae51a1f4eb11b583e021eeeb8511ceda28c152afde5a87d0e77e6a63d3fa6"),
+    ("construct", "e23", "resolve",
+     "ae390a1e455024fad8ba991199c109f6e1b1ca06360bf603b818931eedfd37b2"),
+    ("construct", "e23", "bratteli",
+     "669df9a368762937de9ab23c1a5a71c3403df5c74e9104bbd3e27863f908d080"),
+    ("construct", "omega0_35", "w2sep",
+     "4241955f9809e0f7c6a79da0d562f4d1e878ebdf7c83f79be2b0882eecc338ff"),
+    ("monoid", "omega0_35", "order-ideals",
+     "45ea84d386caffa40959e72cf548db61d9732508671ae7b05b9bf9857131c878"),
+    ("monoid", "wmax22", "order-ideals",
+     "f275da2b84802c84c2c2a32926179563983a0ed4eebdb0c486ef0793cc1fae99"),
+    ("mnlab", None, "example59",
+     "a1def9f75f4164173db5eef38f9c1a7d2e178dba343cf285018bb97164e29ee0"),
 ]
+
+
+def _digest_argv(verb, path, arg):
+    if verb == "nf":
+        return ["nf", "--graph", path, arg]
+    if verb == "verify":
+        return ["verify", arg, "--graph", path]
+    if verb == "ideal-gens":
+        return ["ideal-gens", "--graph", path, "--kind", arg, "--bound", "2"]
+    if verb == "construct":
+        depth = ["--depth", "2"] if arg == "bratteli" else []
+        return ["construct", arg, "--graph", path] + depth
+    if verb == "monoid":
+        return ["monoid", arg, "--graph", path]
+    return ["mnlab", arg, "--m", "3", "--n", "4"]
 
 
 @pytest.mark.parametrize("verb, fixture, arg, digest", JSON_DIGESTS,
                          ids=[f"{v}-{f}-{a}" for v, f, a, _ in JSON_DIGESTS])
 def test_json_reports_match_recorded_digests(fixture_dir, verb, fixture, arg,
                                              digest):
-    path = str(fixture_dir / f"{fixture}.txt")
-    if verb == "nf":
-        argv = ["nf", "--graph", path, arg]
-    elif verb == "verify":
-        argv = ["verify", arg, "--graph", path]
-    else:
-        argv = ["ideal-gens", "--graph", path, "--kind", arg, "--bound", "2"]
+    path = str(fixture_dir / f"{fixture}.txt") if fixture else None
+    argv = _digest_argv(verb, path, arg)
     code, text = run("--json", *argv)
     assert code == 0, argv
     assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+
+
+def test_hsat_enumerate_matches_scan(tmp_path, e23_path, omega0_path):
+    code, text = run("construct", "w2sep", "--graph", omega0_path)
+    assert code == 0
+    companion = tmp_path / "companion.txt"
+    companion.write_text(
+        "\n".join(l for l in text.splitlines() if not l.startswith("#")))
+    for path in (e23_path, str(companion)):
+        code, doc = run_json("hsat", "enumerate", "--graph", path)
+        assert code == 0
+        expected = hsat_by_scan(load_graph(path))
+        assert doc["payload"] == {"count": len(expected),
+                                  "sets": [sorted(h) for h in expected]}
+
+
+@pytest.mark.parametrize("argv", [("construct", "resolve"),
+                                  ("hsat", "enumerate")])
+def test_invalid_graph_file_exits_2(tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(print_graph(BAD_BIP))
+    code, doc = run_json(*argv, "--graph", str(bad))
+    assert code == 2
+    # resolve checks the levels too; enumerate only the separated graph
+    checked = BAD_BIP if argv[0] == "construct" else BAD_BIP.base
+    assert doc["payload"]["message"] == "; ".join(validate(checked))
 
 
 # --- graph output round trips ---------------------------------------------------------

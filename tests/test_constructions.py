@@ -1,17 +1,35 @@
+import functools
+import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepal import constructions as cons
 from sepal.graphs import (
+    BipartiteSeparatedGraph,
     DirectedGraph,
     GraphError,
     SeparatedGraph,
     WeightedGraph,
     validate,
 )
+from sepal.homs import phi0
 from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
+
+
+def hsat_by_scan(g) -> list[frozenset[str]]:
+    """Oracle for ``enumerate_hsat``: test every vertex subset with
+    ``is_hsat``, smallest first."""
+    s = cons.to_separated(g)
+    found = []
+    for bits in itertools.product((False, True), repeat=len(s.vertices)):
+        h = frozenset(v for v, b in zip(s.vertices, bits) if b)
+        rep = cons.is_hsat(s, h)
+        if rep.hereditary and rep.saturated:
+            found.append(h)
+    return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 
 def thm310_route(g: WeightedGraph):
@@ -212,9 +230,27 @@ def test_enumerate_hsat_frozen(e23):
 
 def test_enumerate_methods_agree():
     for g in bipartite_sweep():
-        brute = cons.enumerate_hsat(g, method="brute")
-        fix = cons.enumerate_hsat(g, method="fixpoint")
-        assert brute == fix
+        assert cons.enumerate_hsat(g) == hsat_by_scan(g)
+
+
+@functools.cache
+def _by_companion_size() -> dict[int, list[WeightedGraph]]:
+    """weighted_sweep(3, 4, 3) keyed by the vertex count of the direct
+    companion: one per vertex plus one per weight slot."""
+    pools: dict[int, list[WeightedGraph]] = {}
+    for g in weighted_sweep(3, 4, 3):
+        pools.setdefault(len(g.vertices) + sum(g.w.values()), []).append(g)
+    return pools
+
+
+# sizes first, so the small companions are drawn as often as the many
+# large ones; 5-12 vertices covers what the monoid benchmark enumerates
+@settings(max_examples=40, deadline=None)
+@given(st.integers(5, 12).flatmap(
+    lambda size: st.sampled_from(_by_companion_size()[size])))
+def test_enumerate_matches_scan_on_companions(g):
+    companion = cons.separated_of_weighted(g)
+    assert cons.enumerate_hsat(companion) == hsat_by_scan(companion)
 
 
 def test_hsat_family_is_a_lattice():
@@ -225,17 +261,6 @@ def test_hsat_family_is_a_lattice():
             for b in sets:
                 assert a & b in family
                 assert cons.hsat_closure(g, a | b) in family
-
-
-def test_enumerate_rejects_huge_brute():
-    d = DirectedGraph.make(
-        tuple(f"v{i}" for i in range(21)),
-        [(f"e{i}", f"v{i}", f"v{i+1}") for i in range(20)])
-    s = SeparatedGraph.with_trivial_separation(d)
-    with pytest.raises(cons.ResourceLimitError):
-        cons.enumerate_hsat(s, method="brute")
-    with pytest.raises(GraphError):
-        cons.enumerate_hsat(s, method="sideways")
 
 
 def test_quotient_graph(e23):
@@ -282,10 +307,77 @@ def test_bratteli_cap(e23):
 
 def test_sweeps_are_nonempty_and_valid():
     ws = weighted_sweep()
-    assert len(ws) > 10
+    assert len(ws) == 194
     for g in ws:
         assert validate(g) == []
     assert len(emn_sweep()) == 6    # (1,1),(1,2),(1,3),(2,2),(2,3),(3,3)
     for g in bipartite_sweep():
         assert validate(g) == []
         assert g.is_proper
+
+
+# --- constructors build valid graphs ---------------------------------------------
+# The constructors do not validate what they build; these properties do.
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(weighted_sweep(2, 3, 2)))
+def test_constructor_outputs_are_valid(g):
+    full = cons.weighted_completion(g)
+    double = cons.separated_of_vertex_weighted(full)
+    companion = cons.separated_of_weighted(g)
+    built = [full, double, companion,
+             cons.one_step_resolution(double),
+             cons.one_step_resolution(companion)]
+    for bip in (double, companion):
+        built += [cons.quotient_graph(bip, h) for h in cons.enumerate_hsat(bip)]
+    for out in built:
+        assert validate(out) == [], out
+
+
+@pytest.mark.parametrize("g", emn_sweep(),
+                         ids=lambda g: f"E({len(g.sep['v'][1])},"
+                                       f"{len(g.sep['v'][0])})")
+def test_bratteli_outputs_are_valid(g):
+    tower = cons.bratteli(g, 2)
+    for out in tower.layers + tower.unions:
+        assert validate(out) == [], out
+
+
+# --- invalid input is refused with the full report ------------------------------
+
+# unknown range x, f left out of the separation, groups at unknown y
+BAD_SEP = SeparatedGraph.make(
+    DirectedGraph.make(("u", "w"), [("e", "u", "w"), ("f", "u", "x")]),
+    {"u": [["e"]], "y": [["e"]]})
+# the separated faults, plus w on both levels and e ending at an upper vertex
+BAD_BIP = BipartiteSeparatedGraph.make(BAD_SEP, upper=("u", "w"), lower=("w",))
+# a zero weight, a missing weight and an isolated vertex
+BAD_W = WeightedGraph.make(
+    DirectedGraph.make(("v", "z"), [("e", "v", "v"), ("f", "v", "v")]),
+    {"e": 0})
+
+# (name, call, argument, the graph whose report the error must carry)
+BAD_CALLS = [
+    ("one_step_resolution", cons.one_step_resolution, BAD_BIP, BAD_BIP),
+    ("bratteli", lambda g: cons.bratteli(g, 1), BAD_BIP, BAD_BIP),
+    ("phi0", phi0, BAD_BIP, BAD_BIP),
+    ("separated_of_weighted", cons.separated_of_weighted, BAD_W, BAD_W),
+    ("quotient_graph-bipartite", lambda g: cons.quotient_graph(g, ()),
+     BAD_BIP, BAD_SEP),
+    ("quotient_graph-separated", lambda g: cons.quotient_graph(g, ()),
+     BAD_SEP, BAD_SEP),
+    ("enumerate_hsat-bipartite", cons.enumerate_hsat, BAD_BIP, BAD_SEP),
+    ("enumerate_hsat-separated", cons.enumerate_hsat, BAD_SEP, BAD_SEP),
+]
+
+
+@pytest.mark.parametrize("call, arg, checked",
+                         [c[1:] for c in BAD_CALLS],
+                         ids=[c[0] for c in BAD_CALLS])
+def test_invalid_input_raises_full_report(call, arg, checked):
+    report = validate(checked)
+    assert len(report) >= 2
+    with pytest.raises(GraphError) as exc:
+        call(arg)
+    assert str(exc.value) == "; ".join(report)

@@ -277,6 +277,52 @@ def test_omega0_ideals(omega0_35):
     assert entries[1].generators == ("v(e1,1)",)
 
 
+def ideals_by_box_scan(p, extra=0):
+    """Subsets S of generators such that no rewrite takes a vector supported
+    in S outside S; every vector supported in S with coordinate sum at most
+    the largest relation side plus ``extra`` is tried with every move."""
+    k = len(p.generators)
+    cap = extra + max((max(sum(l), sum(r)) for l, r in p.relations),
+                      default=1)
+    moves = [m for l, r in p.relations for m in ((l, r), (r, l))]
+    out = []
+    for bits in itertools.product((0, 1), repeat=k):
+        s = [i for i, b in enumerate(bits) if b]
+        ok = True
+        for counts in itertools.product(range(cap + 1), repeat=len(s)):
+            if sum(counts) > cap:
+                continue
+            v = [0] * k
+            for i, c in zip(s, counts):
+                v[i] = c
+            for l, r in moves:
+                if all(a >= b for a, b in zip(v, l)) and any(
+                        v[i] - l[i] + r[i] for i in range(k) if not bits[i]):
+                    ok = False
+            if not ok:
+                break
+        if ok:
+            out.append(frozenset(p.generators[i] for i in s))
+    return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
+
+
+vectors = st.lists(st.integers(0, 2), min_size=4, max_size=4).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(vectors, vectors), max_size=4), st.integers(0, 2))
+def test_order_ideal_oracle_matches_box_scan(rels, extra):
+    p = MonoidPresentation(("a", "b", "c", "d"), tuple(rels))
+    assert order_ideal_oracle(p) == ideals_by_box_scan(p, extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(weighted_sweep(2, 3, 2)))
+def test_order_ideal_oracle_matches_box_scan_on_companions(g):
+    p = m1_of(g)
+    assert order_ideal_oracle(p) == ideals_by_box_scan(p)
+
+
 def test_oracle_guard():
     big = MonoidPresentation(tuple(f"g{i}" for i in range(17)), ())
     with pytest.raises(cons.ResourceLimitError):
