@@ -62,11 +62,11 @@ def main() -> int:
     for rep in reports:
         m, n = rep["m"], rep["n"]
         q = rep["quotient"] or {}
+        q_type = fmt_type(q["leavitt_type"]) if q else "-"
         print(f"{m:>2} {n:>2} {n - m:>4} {rep['monoid']['grothendieck']:>6} "
-              f"{str(tuple(rep['monoid']['leavitt_type'])):>8} "
+              f"{fmt_type(rep['monoid']['leavitt_type']):>8} "
               f"{math.gcd(m - 2, n - 2):>4} "
-              f"{q.get('grothendieck', '-'):>8} "
-              f"{str(tuple(q.get('leavitt_type', ()))):>8}")
+              f"{q.get('grothendieck', '-'):>8} {q_type:>8}")
     return 0
 
 

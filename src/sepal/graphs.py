@@ -108,13 +108,12 @@ class SeparatedGraph:
         for v in graph.vertices:
             if v not in separation:
                 continue
-            groups = tuple(tuple(sorted(set(g))) for g in separation[v])
-            groups = tuple(g for g in groups if g)
+            groups = tuple(tuple(sorted(g)) for g in separation[v])
             if groups:
                 entries.append((v, groups))
         for v in separation:
             if v not in graph.vertex_set:
-                groups = tuple(tuple(sorted(set(g))) for g in separation[v])
+                groups = tuple(tuple(sorted(g)) for g in separation[v])
                 entries.append((v, groups))
         return SeparatedGraph(graph, tuple(entries))
 

@@ -35,6 +35,7 @@ from .staralg import (
     AlgebraError,
     AlgElement,
     Coeff,
+    GHOST,
     StarAlgebra,
     as_coeff,
     normal_form,
@@ -446,22 +447,29 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
 # evaluation
 
 
-def evaluate(expr: GenExpr, gmap: GeneratorMap) -> AlgElement:
-    """Substitute generator images and normalize."""
+def _substitute(gmap: GeneratorMap, terms: dict, star: int,
+                what: str) -> AlgElement:
+    # Replace each letter by its image, starred when the letter's mark
+    # equals ``star``, then add up the scaled products and normalize.
     out = gmap.target.zero()
-    for word, coeff in expr.terms.items():
+    for word, coeff in terms.items():
         acc: AlgElement | None = None
-        for name, starred in word:
+        for name, mark in word:
             try:
                 img = gmap.images[name]
             except KeyError:
-                raise AlgebraError(f"no image for generator {name!r}")
-            if starred:
+                raise AlgebraError(f"no image for {what} {name!r}")
+            if mark == star:
                 img = img.star()
             acc = img if acc is None else acc * img
         assert acc is not None
         out = out + acc.scale(coeff)
     return normal_form(out)
+
+
+def evaluate(expr: GenExpr, gmap: GeneratorMap) -> AlgElement:
+    """Substitute generator images and normalize."""
+    return _substitute(gmap, expr.terms, True, "generator")
 
 
 def verify(gmap: GeneratorMap, rels: RelationSet) -> VerifyReport:
@@ -477,22 +485,7 @@ def verify(gmap: GeneratorMap, rels: RelationSet) -> VerifyReport:
 def apply_map(gmap: GeneratorMap, elem: AlgElement) -> AlgElement:
     """Push an algebra element through a map whose images are keyed by the
     vertex and edge names of the element's own graph (e.g. phi0)."""
-    from .staralg import GHOST
-
-    out = gmap.target.zero()
-    for word, coeff in elem.terms.items():
-        acc: AlgElement | None = None
-        for name, kind in word:
-            try:
-                img = gmap.images[name]
-            except KeyError:
-                raise AlgebraError(f"no image for letter {name!r}")
-            if kind == GHOST:
-                img = img.star()
-            acc = img if acc is None else acc * img
-        assert acc is not None
-        out = out + acc.scale(coeff)
-    return normal_form(out)
+    return _substitute(gmap, elem.terms, GHOST, "letter")
 
 
 def kernel_generator(g: BipartiteSeparatedGraph, e: str, f: str, g2: str,

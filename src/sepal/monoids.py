@@ -250,8 +250,8 @@ def _moves(p: MonoidPresentation):
 
 
 def _step(v: Vec, l: Vec, r: Vec) -> Vec | None:
-    # The inner loop of congruent and order_ideal_oracle: map over the
-    # operator functions rather than a generator expression per coordinate.
+    # The inner loop of congruent: map over the operator functions rather
+    # than a generator expression per coordinate.
     if all(map(ge, v, l)):
         return tuple(map(add, map(sub, v, l), r))
     return None
@@ -452,53 +452,24 @@ def order_ideals(g) -> list[OrderIdealEntry]:
             for h in cons.enumerate_hsat(g)]
 
 
-def order_ideal_oracle(p: MonoidPresentation,
-                       cap: int | None = None) -> list[frozenset[str]]:
+def order_ideal_oracle(p: MonoidPresentation) -> list[frozenset[str]]:
     """Supports of order ideals computed purely from the presentation.
 
-    A generator subset S qualifies when every vector supported in S, with
-    coordinate sum at most ``cap``, only rewrites to vectors supported in
-    S.  A cheap support-closure filter runs first; the box scan confirms
-    the survivors.  Default cap: the largest relation-side sum plus one.
+    A generator subset S qualifies when, for every relation l = r,
+    supp(l) ⊆ S exactly when supp(r) ⊆ S.  The filter is exact: a rewrite
+    l -> r leads a vector supported in S out of S only if supp(l) ⊆ S
+    and supp(r) ⊄ S.
     """
     k = len(p.generators)
     if k > 16:
         raise cons.ResourceLimitError(f"oracle over 2^{k} subsets refused")
-    if cap is None:
-        cap = 1 + max((max(sum(l), sum(r)) for l, r in p.relations),
-                      default=1)
-    moves = _moves(p)
-
-    def supp(vec: Vec) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(vec) if c)
-
-    def box(indices: tuple[int, ...]):
-        def rec(rem: int, pos: int, acc: list[int]):
-            if pos == len(indices):
-                vec = [0] * k
-                for i, c in zip(indices, acc):
-                    vec[i] = c
-                yield tuple(vec)
-                return
-            for c in range(rem + 1):
-                yield from rec(rem - c, pos + 1, acc + [c])
-        yield from rec(cap, 0, [])
-
+    supports = [(frozenset(i for i, c in enumerate(l) if c),
+                 frozenset(i for i, c in enumerate(r) if c))
+                for l, r in p.relations]
     out = []
     for bits in itertools.product((0, 1), repeat=k):
         s = frozenset(i for i, b in enumerate(bits) if b)
-        ok = all((supp(l) <= s) == (supp(r) <= s) for l, r in p.relations)
-        if not ok:
-            continue
-        for v in box(tuple(sorted(s))):
-            for l, r in moves:
-                w = _step(v, l, r)
-                if w is not None and not supp(w) <= s:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all((sl <= s) == (sr <= s) for sl, sr in supports):
             out.append(frozenset(p.generators[i] for i in s))
     return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
 

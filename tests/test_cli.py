@@ -8,6 +8,7 @@ from sepal.cli import main
 from sepal.graphio import load_graph, parse_graph, print_graph
 from sepal.graphs import validate
 from test_constructions import BAD_BIP, hsat_by_scan
+from test_graphio import MALFORMED_SEPARATIONS, malformed_separation_text
 
 
 def run(*argv):
@@ -251,6 +252,19 @@ def test_invalid_graph_file_exits_2(tmp_path, argv):
     # resolve checks the levels too; enumerate only the separated graph
     checked = BAD_BIP if argv[0] == "construct" else BAD_BIP.base
     assert doc["payload"]["message"] == "; ".join(validate(checked))
+
+
+@pytest.mark.parametrize("groups, violation", MALFORMED_SEPARATIONS,
+                         ids=["empty_group", "repeated_edge"])
+def test_malformed_separation_is_rejected(tmp_path, groups, violation):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(malformed_separation_text(groups))
+    code, doc = run_json("validate", "--graph", str(bad))
+    assert code == 1
+    assert doc["payload"]["violations"] == [violation]
+    code, doc = run_json("monoid", "present", "--graph", str(bad))
+    assert code == 2
+    assert doc["payload"]["message"] == violation
 
 
 # --- graph output round trips ---------------------------------------------------------

@@ -85,6 +85,26 @@ def test_zero_weight_is_semantic_not_syntactic():
     assert any("positive integers" in m for m in validate(g))
 
 
+MALFORMED_SEPARATIONS = [
+    ("[e f] []", "empty separation group at 'u'"),
+    ("[e e] [f]", "separation groups at 'u' overlap on edge 'e'"),
+]
+
+
+def malformed_separation_text(groups):
+    return ("graph separated\nvertex u\nvertex w\n"
+            "edge e = u -> w\nedge f = u -> w\n"
+            f"separation u : {groups}\n")
+
+
+@pytest.mark.parametrize("groups, violation", MALFORMED_SEPARATIONS,
+                         ids=["empty_group", "repeated_edge"])
+def test_malformed_separation_reaches_validate(groups, violation):
+    # the parser keeps empty and repeated groups; validation rejects them
+    g = parse_graph(malformed_separation_text(groups))
+    assert validate(g) == [violation]
+
+
 def test_bipartite_line_round_trip(e23):
     text = print_graph(e23)
     assert "bipartite upper: v lower: w" in text
