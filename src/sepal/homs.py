@@ -44,37 +44,56 @@ from .staralg import (
 GenWord = tuple[tuple[str, bool], ...]
 
 
+def _collect(terms: dict, word, coeff) -> None:
+    """Add ``coeff`` to the term ``word`` of ``terms``, dropping a zero."""
+    c = terms.get(word, 0) + coeff
+    if c:
+        terms[word] = c
+    else:
+        terms.pop(word, None)
+
+
 class GenExpr:
     """Formal combination of words in named generators.
 
     Coefficients are integers; an exact ``Fraction`` is kept when a caller
-    supplies one."""
+    supplies one.  They are coerced once, by the public constructor;
+    ``gen``, ``word``, ``zero`` and the arithmetic build their term dicts
+    from coefficients that are already coerced and drop zeros as they go.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[GenWord, Coeff] | None = None):
         self.terms = {w: as_coeff(c) for w, c in (terms or {}).items() if c}
 
+    @classmethod
+    def _of(cls, terms: dict[GenWord, Coeff]) -> "GenExpr":
+        # coefficients already coerced, no zeros
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
+
     @staticmethod
     def gen(name: str, starred: bool = False) -> "GenExpr":
-        return GenExpr({((name, starred),): 1})
+        return GenExpr._of({((name, starred),): 1})
 
     @staticmethod
     def word(*items: tuple[str, bool]) -> "GenExpr":
-        return GenExpr({tuple(items): 1})
+        return GenExpr._of({tuple(items): 1})
 
     @staticmethod
     def zero() -> "GenExpr":
-        return GenExpr()
+        return GenExpr._of({})
 
     def __add__(self, other: "GenExpr") -> "GenExpr":
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return GenExpr(terms)
+            _collect(terms, w, c)
+        return GenExpr._of(terms)
 
     def __neg__(self) -> "GenExpr":
-        return GenExpr({w: -c for w, c in self.terms.items()})
+        return GenExpr._of({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "GenExpr") -> "GenExpr":
         return self + (-other)
@@ -83,13 +102,12 @@ class GenExpr:
         terms: dict[GenWord, Coeff] = {}
         for wa, ca in self.terms.items():
             for wb, cb in other.terms.items():
-                w = wa + wb
-                terms[w] = terms.get(w, 0) + ca * cb
-        return GenExpr(terms)
+                _collect(terms, wa + wb, ca * cb)
+        return GenExpr._of(terms)
 
     def star(self) -> "GenExpr":
-        return GenExpr({tuple((n, not s) for n, s in reversed(w)): c
-                        for w, c in self.terms.items()})
+        return GenExpr._of({tuple((n, not s) for n, s in reversed(w)): c
+                            for w, c in self.terms.items()})
 
     def names(self) -> set[str]:
         return {n for w in self.terms for n, _ in w}
@@ -135,10 +153,6 @@ class VerifyReport:
 # relation families
 
 
-def _g(name: str) -> GenExpr:
-    return GenExpr.gen(name)
-
-
 def _slot(e: str, i: int) -> str:
     return f"{e}.{i}"
 
@@ -155,15 +169,39 @@ def p_name(v: str) -> str:
     return f"p({v})"
 
 
+# Each relation is written as its term dict; a pair (x, s) in a word is the
+# generator x, starred when s is true.
+
+
+def _sum(words, minus: str | None = None) -> GenExpr:
+    """The sum of distinct ``words``, less the generator ``minus``."""
+    terms = dict.fromkeys(words, 1)
+    if minus is not None:
+        terms[((minus, False),)] = -1
+    return GenExpr._of(terms)
+
+
+def _prod(a: str, b: str, minus: str | None = None) -> GenExpr:
+    """a b, less the generator ``minus``."""
+    return _sum((((a, False), (b, False)),), minus)
+
+
+def _less(x: str, words) -> GenExpr:
+    """The generator x less the sum of distinct ``words``."""
+    return GenExpr._of({((x, False),): 1, **dict.fromkeys(words, -1)})
+
+
+def _adjoint(x: str, y: str) -> GenExpr:
+    """x* - y."""
+    return GenExpr._of({((x, True),): 1, ((y, False),): -1})
+
+
 def _vertex_family(names, out: list) -> None:
     for u in names:
         for v in names:
-            rel = _g(u) * _g(v)
-            if u == v:
-                rel = rel - _g(u)
-            out.append((f"vv:{u}.{v}", rel))
+            out.append((f"vv:{u}.{v}", _prod(u, v, u if u == v else None)))
     for v in names:
-        out.append((f"v*:{v}", GenExpr.gen(v, True) - _g(v)))
+        out.append((f"v*:{v}", _adjoint(v, v)))
 
 
 def relations(kind: str, g) -> RelationSet:
@@ -181,21 +219,18 @@ def relations(kind: str, g) -> RelationSet:
         d = s.graph
         _vertex_family(d.vertices, rels)
         for e, src, rng in d.edges:
-            rels.append((f"src:{e}", _g(src) * _g(e) - _g(e)))
-            rels.append((f"rng:{e}", _g(e) * _g(rng) - _g(e)))
+            rels.append((f"src:{e}", _prod(src, e, e)))
+            rels.append((f"rng:{e}", _prod(e, rng, e)))
         for v, groups in s.separation:
             for grp in groups:
                 for e in grp:
                     for f in grp:
-                        rel = GenExpr.gen(e, True) * _g(f)
-                        if e == f:
-                            rel = rel - _g(d.rng(e))
-                        rels.append((f"gg:{e}.{f}", rel))
+                        rels.append((f"gg:{e}.{f}",
+                                     _sum((((e, True), (f, False)),),
+                                          d.rng(e) if e == f else None)))
             for i, grp in enumerate(groups):
-                total = GenExpr.zero()
-                for e in grp:
-                    total = total + GenExpr.gen(e) * GenExpr.gen(e, True)
-                rels.append((f"fiber:{v}.{i}", _g(v) - total))
+                rels.append((f"fiber:{v}.{i}",
+                             _less(v, [((e, False), (e, True)) for e in grp])))
         gens = d.vertices + d.edge_names
         return RelationSet(kind, gens, tuple(rels))
 
@@ -206,69 +241,54 @@ def relations(kind: str, g) -> RelationSet:
         d = g.graph
         _vertex_family(d.vertices, rels)
         slots = [(e, i) for e, _, _ in d.edges for i in range(1, g.w[e] + 1)]
+        # x[e, i] is the letter e.i, y[e, i] the letter (e.i)*
+        x = {(e, i): (_slot(e, i), False) for e, i in slots}
+        y = {(e, i): (_slot(e, i), True) for e, i in slots}
         for e, i in slots:
-            rels.append((f"src:{e}.{i}",
-                         _g(d.src(e)) * _g(_slot(e, i)) - _g(_slot(e, i))))
-            rels.append((f"rng:{e}.{i}",
-                         _g(_slot(e, i)) * _g(d.rng(e)) - _g(_slot(e, i))))
+            xi = _slot(e, i)
+            rels.append((f"src:{e}.{i}", _prod(d.src(e), xi, xi)))
+            rels.append((f"rng:{e}.{i}", _prod(xi, d.rng(e), xi)))
         regular = [v for v in d.vertices if d.out_edges.get(v)]
         if kind == "weighted":
             for v in regular:
+                fiber = d.out_edges[v]
                 wv = vertex_weight(g, v)
                 for i in range(1, wv + 1):
                     for j in range(1, wv + 1):
-                        total = GenExpr.zero()
-                        for e in d.out_edges[v]:
-                            if g.w[e] >= i and g.w[e] >= j:
-                                total = total + (
-                                    _g(_slot(e, i))
-                                    * GenExpr.gen(_slot(e, j), True))
-                        if i == j:
-                            total = total - _g(v)
-                        rels.append((f"rows:{v}.{i}.{j}", total))
-                for e in d.out_edges[v]:
-                    for f in d.out_edges[v]:
-                        total = GenExpr.zero()
-                        for i in range(1, min(g.w[e], g.w[f]) + 1):
-                            total = total + (
-                                GenExpr.gen(_slot(e, i), True)
-                                * _g(_slot(f, i)))
-                        if e == f:
-                            total = total - _g(d.rng(e))
-                        rels.append((f"cols:{v}.{e}.{f}", total))
+                        words = [(x[e, i], y[e, j]) for e in fiber
+                                 if g.w[e] >= i and g.w[e] >= j]
+                        rels.append((f"rows:{v}.{i}.{j}",
+                                     _sum(words, v if i == j else None)))
+                for e in fiber:
+                    for f in fiber:
+                        words = [(y[e, i], x[f, i])
+                                 for i in range(1, min(g.w[e], g.w[f]) + 1)]
+                        rels.append((f"cols:{v}.{e}.{f}",
+                                     _sum(words,
+                                          d.rng(e) if e == f else None)))
         else:
             for e, _, _ in d.edges:
                 for i in range(1, g.w[e] + 1):
                     for j in range(1, g.w[e] + 1):
                         if i != j:
-                            rels.append((
-                                f"offdiag:{e}.{i}.{j}",
-                                _g(_slot(e, i))
-                                * GenExpr.gen(_slot(e, j), True)))
+                            rels.append((f"offdiag:{e}.{i}.{j}",
+                                         _sum(((x[e, i], y[e, j]),))))
             for v in regular:
-                for e in d.out_edges[v]:
-                    for f in d.out_edges[v]:
+                fiber = d.out_edges[v]
+                for e in fiber:
+                    for f in fiber:
                         if e == f:
                             continue
                         for i in range(1, min(g.w[e], g.w[f]) + 1):
-                            rels.append((
-                                f"offedge:{v}.{e}.{f}.{i}",
-                                GenExpr.gen(_slot(e, i), True)
-                                * _g(_slot(f, i))))
+                            rels.append((f"offedge:{v}.{e}.{f}.{i}",
+                                         _sum(((y[e, i], x[f, i]),))))
                 for i in range(1, vertex_weight(g, v) + 1):
-                    total = GenExpr.zero()
-                    for e in d.out_edges[v]:
-                        if g.w[e] >= i:
-                            total = total + (
-                                _g(_slot(e, i))
-                                * GenExpr.gen(_slot(e, i), True))
-                    rels.append((f"diag:{v}.{i}", total - _g(v)))
+                    words = [(x[e, i], y[e, i]) for e in fiber
+                             if g.w[e] >= i]
+                    rels.append((f"diag:{v}.{i}", _sum(words, v)))
             for e, _, rng in d.edges:
-                total = GenExpr.zero()
-                for i in range(1, g.w[e] + 1):
-                    total = total + (GenExpr.gen(_slot(e, i), True)
-                                     * _g(_slot(e, i)))
-                rels.append((f"full:{e}", total - _g(rng)))
+                words = [(y[e, i], x[e, i]) for i in range(1, g.w[e] + 1)]
+                rels.append((f"full:{e}", _sum(words, rng)))
         gens = d.vertices + tuple(_slot(e, i) for e, i in slots)
         return RelationSet(kind, gens, tuple(rels))
 
@@ -277,74 +297,64 @@ def relations(kind: str, g) -> RelationSet:
             raise GraphError("these relations need a bipartite graph")
         require_valid(g)
         d = g.base.graph
+        gk = g.group_key
         if kind == "lv":
             ps = [p_name(v) for v in g.upper]
             _vertex_family(ps, rels)
             pairs = [(e, f) for w in g.lower
                      for e in d.in_edges.get(w, ())
                      for f in d.in_edges.get(w, ())]
+            t = {pair: t_name(*pair) for pair in pairs}
             for e, f in pairs:
-                rels.append((f"t*:{e}.{f}",
-                             GenExpr.gen(t_name(e, f), True)
-                             - _g(t_name(f, e))))
-                rels.append((f"tp:{e}.{f}",
-                             _g(t_name(e, f)) * _g(p_name(d.src(f)))
-                             - _g(t_name(e, f))))
-                rels.append((f"pt:{e}.{f}",
-                             _g(p_name(d.src(e))) * _g(t_name(e, f))
-                             - _g(t_name(e, f))))
-            gk = g.group_key
+                tef = t[e, f]
+                rels.append((f"t*:{e}.{f}", _adjoint(tef, t[f, e])))
+                rels.append((f"tp:{e}.{f}", _prod(tef, p_name(d.src(f)), tef)))
+                rels.append((f"pt:{e}.{f}", _prod(p_name(d.src(e)), tef, tef)))
+            # t(e,f) t(g,h) is a relation exactly when f and g share a group
+            starting: dict[tuple[str, int], list] = {}
             for e, f in pairs:
-                for gg, h in pairs:
-                    if gk[f] != gk[gg]:
-                        continue
-                    rel = _g(t_name(e, f)) * _g(t_name(gg, h))
-                    if f == gg:
-                        rel = rel - _g(t_name(e, h))
-                    rels.append((f"tt:{e}.{f}.{gg}.{h}", rel))
+                starting.setdefault(gk[e], []).append((e, f))
+            for e, f in pairs:
+                for gg, h in starting[gk[f]]:
+                    rels.append((f"tt:{e}.{f}.{gg}.{h}",
+                                 _prod(t[e, f], t[gg, h],
+                                       t[e, h] if f == gg else None)))
             for v, groups in g.separation:
                 for i, grp in enumerate(groups):
-                    total = GenExpr.zero()
-                    for e in grp:
-                        total = total + _g(t_name(e, e))
-                    rels.append((f"pfull:{v}.{i}", _g(p_name(v)) - total))
-            gens = tuple(ps) + tuple(t_name(e, f) for e, f in pairs)
+                    rels.append((f"pfull:{v}.{i}",
+                                 _less(p_name(v),
+                                       [((t_name(e, e), False),)
+                                        for e in grp])))
+            gens = tuple(ps) + tuple(t.values())
             return RelationSet(kind, gens, tuple(rels))
 
         ps = [p_name(w) for w in g.lower]
         _vertex_family(ps, rels)
-        gk = g.group_key
         pairs = [(e, f) for v in g.upper
                  for e in d.out_edges.get(v, ())
                  for f in d.out_edges.get(v, ())
                  if gk[e] != gk[f]]
+        r = {pair: r_name(*pair) for pair in pairs}
         for e, f in pairs:
-            rels.append((f"r*:{e}.{f}",
-                         GenExpr.gen(r_name(e, f), True) - _g(r_name(f, e))))
-            rels.append((f"rp:{e}.{f}",
-                         _g(r_name(e, f)) * _g(p_name(d.rng(f)))
-                         - _g(r_name(e, f))))
-            rels.append((f"pr:{e}.{f}",
-                         _g(p_name(d.rng(e))) * _g(r_name(e, f))
-                         - _g(r_name(e, f))))
+            ref = r[e, f]
+            rels.append((f"r*:{e}.{f}", _adjoint(ref, r[f, e])))
+            rels.append((f"rp:{e}.{f}", _prod(ref, p_name(d.rng(f)), ref)))
+            rels.append((f"pr:{e}.{f}", _prod(p_name(d.rng(e)), ref, ref)))
         for v, groups in g.separation:
             fiber = d.out_edges.get(v, ())
             for e in fiber:
                 for h in fiber:
+                    minus = (r[e, h] if gk[e] != gk[h]
+                             else p_name(d.rng(e)) if e == h else None)
+                    # r(e,f) r(f,h) needs f away from the groups of e and h
                     for i, grp in enumerate(groups):
-                        if gk[e] == (v, i) or gk[h] == (v, i):
+                        if (v, i) == gk[e] or (v, i) == gk[h]:
                             continue
-                        total = GenExpr.zero()
-                        for f in grp:
-                            total = total + (_g(r_name(e, f))
-                                             * _g(r_name(f, h)))
-                        if gk[e] == gk[h]:
-                            if e == h:
-                                total = total - _g(p_name(d.rng(e)))
-                        else:
-                            total = total - _g(r_name(e, h))
-                        rels.append((f"rr:{e}.{h}.{v}.{i}", total))
-        gens = tuple(ps) + tuple(r_name(e, f) for e, f in pairs)
+                        words = [((r[e, f], False), (r[f, h], False))
+                                 for f in grp]
+                        rels.append((f"rr:{e}.{h}.{v}.{i}",
+                                     _sum(words, minus)))
+        gens = tuple(ps) + tuple(r.values())
         return RelationSet(kind, gens, tuple(rels))
 
     raise GraphError(f"unknown relation kind {kind!r}")
@@ -450,9 +460,12 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
 def _substitute(gmap: GeneratorMap, terms: dict, star: int,
                 what: str) -> AlgElement:
     # Replace each letter by its image, starred when the letter's mark
-    # equals ``star``, then add up the scaled products and normalize.
-    out = gmap.target.zero()
+    # equals ``star``, add the scaled products into one dict and normalize.
+    target = gmap.target
+    out: dict = {}
     for word, coeff in terms.items():
+        if not word:
+            raise AlgebraError(f"no image for the empty {what} word")
         acc: AlgElement | None = None
         for name, mark in word:
             try:
@@ -462,9 +475,11 @@ def _substitute(gmap: GeneratorMap, terms: dict, star: int,
             if mark == star:
                 img = img.star()
             acc = img if acc is None else acc * img
-        assert acc is not None
-        out = out + acc.scale(coeff)
-    return normal_form(out)
+        if not target.same_carrier(acc.alg):
+            raise AlgebraError("operands live over different graphs")
+        for w, c in acc.terms.items():
+            _collect(out, w, coeff * c)
+    return normal_form(AlgElement(target, out))
 
 
 def evaluate(expr: GenExpr, gmap: GeneratorMap) -> AlgElement:

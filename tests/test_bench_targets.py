@@ -1,9 +1,12 @@
 """The traced benchmark run wraps program functions by module and attribute
 name (``sepalbench/layers.py``).  A rename or move of one of them must fail
-here, not only in the next traced run."""
+here, not only in the next traced run, and so must a call path that goes
+around a wrapped function and leaves its layer reading zero."""
 
 import importlib
+import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -32,3 +35,18 @@ def test_trace_target_resolves(target):
         owner = getattr(owner, part)
     # the tracer swaps the attribute in the owner's own namespace
     assert callable(vars(owner).get(attr)), target
+
+
+def test_traced_run_sees_the_verify_path():
+    # one traced second of verify-small: every job checks out, and the
+    # layers the verify path runs through report work
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "verify-small",
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
+    for name in ("homs.evaluate.calls", "homs.relations.relations_built",
+                 "staralg.normal_form.calls"):
+        assert result["metrics"][name]["value"] > 0, name

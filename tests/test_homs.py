@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from sepal import constructions as cons
 from sepal.graphs import GraphError, is_vertex_weighted
 from sepal.homs import (
     GenExpr,
+    GeneratorMap,
     apply_map,
     evaluate,
     ideal_generators,
@@ -60,6 +62,30 @@ def test_weighted_l1_splits_the_square_relations(wmax22):
     assert {l.split(":")[0] for l, _ in full.relations} >= {"rows", "cols"}
     assert {l.split(":")[0] for l, _ in l1.relations} >= \
         {"offdiag", "offedge", "diag", "full"}
+
+
+# sha256 of the relation families of all five kinds over weighted_sweep(2, 3,
+# 2) and the doubles of its completions, recorded while the families were
+# still built by GenExpr arithmetic
+FAMILY_DIGEST = \
+    "b0dfc67da5e613c7f3be5ac7612f4a7083f9b07bf919446aea8b073190d3fab5"
+
+
+def family_digest() -> str:
+    h = hashlib.sha256()
+    for g in weighted_sweep(2, 3, 2):
+        double = cons.separated_of_vertex_weighted(cons.weighted_completion(g))
+        for kind, x in (("weighted", g), ("weighted-l1", g),
+                        ("separated", double), ("lv", double), ("lw", double)):
+            rels = relations(kind, x)
+            h.update(repr((kind, rels.generators)).encode())
+            for label, expr in rels.relations:
+                h.update(repr((label, sorted(expr.terms.items()))).encode())
+    return h.hexdigest()
+
+
+def test_relation_families_are_pinned():
+    assert family_digest() == FAMILY_DIGEST
 
 
 # --- the four maps kill their relations ------------------------------------------
@@ -115,6 +141,72 @@ def test_rho_tau_images(e23):
         nf(alg.ghost("e1") * alg.edge("f1"))
 
 
+# --- formal expressions -----------------------------------------------------------
+
+LETTERS = [(n, m) for n in ("a", "b", "c") for m in (False, True)]
+
+
+@st.composite
+def gen_terms(draw):
+    """A term dict over short words in three generators; coefficients are
+    integers or fractions and may be zero."""
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4))
+    words = st.lists(st.sampled_from(LETTERS), min_size=1,
+                     max_size=3).map(tuple)
+    return draw(st.dictionaries(words, coeff, max_size=5))
+
+
+def reference(terms) -> dict:
+    return {w: Fraction(c) for w, c in terms.items() if c}
+
+
+def combine(*parts) -> dict:
+    """Plain-dict Fraction sum of (sign, terms) parts, zeros dropped."""
+    out = {}
+    for sign, terms in parts:
+        for w, c in terms.items():
+            out[w] = out.get(w, Fraction(0)) + sign * c
+    return {w: c for w, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen_terms(), gen_terms())
+def test_genexpr_arithmetic_matches_fraction_reference(ta, tb):
+    a, b = GenExpr(ta), GenExpr(tb)
+    ra, rb = reference(ta), reference(tb)
+    product = {}
+    for wa, ca in ra.items():
+        for wb, cb in rb.items():
+            product[wa + wb] = product.get(wa + wb, Fraction(0)) + ca * cb
+    starred = {tuple((n, not m) for n, m in reversed(w)): c
+               for w, c in ra.items()}
+    cases = [(a, ra),
+             (a + b, combine((1, ra), (1, rb))),
+             (a - b, combine((1, ra), (-1, rb))),
+             (-a, combine((-1, ra))),
+             (a * b, combine((1, product))),
+             (a.star(), starred)]
+    ints = all(type(c) is int for c in [*ta.values(), *tb.values()])
+    for got, want in cases:
+        assert got.terms == want
+        assert all(c != 0 for c in got.terms.values())
+        if ints:
+            assert all(type(c) is int for c in got.terms.values())
+
+
+def test_genexpr_constructors():
+    w = (("a", False),)
+    assert GenExpr({w: 0.5}).terms == {w: Fraction(1, 2)}
+    assert type(GenExpr({w: 0.5}).terms[w]) is Fraction
+    assert GenExpr({w: 0}).terms == {}
+    assert GenExpr.gen("a").terms == {w: 1}
+    assert GenExpr.gen("a", True).terms == {(("a", True),): 1}
+    assert GenExpr.word(("a", False), ("b", True)).terms == \
+        {(("a", False), ("b", True)): 1}
+    assert GenExpr.zero() == GenExpr() and not GenExpr.zero().terms
+    assert (GenExpr.gen("a") - GenExpr.gen("a")).terms == {}
+
+
 # --- homomorphism behaviour -------------------------------------------------------
 
 def rand_expr(names, rng, max_len=4):
@@ -154,6 +246,39 @@ def test_evaluate_missing_generator(wmax22):
     gmap = phi1(wmax22)
     with pytest.raises(AlgebraError, match="no image"):
         evaluate(GenExpr.gen("zz"), gmap)
+
+
+def test_empty_word_has_no_image(wmax22, e23):
+    with pytest.raises(AlgebraError, match="empty"):
+        evaluate(GenExpr.word(), phi1(wmax22))
+    with pytest.raises(AlgebraError, match="empty"):
+        apply_map(phi0(e23), StarAlgebra(e23).element({(): 1}))
+
+
+def test_image_over_another_graph_is_rejected(wmax22, e23):
+    gmap = phi1(wmax22)
+    gmap.images["e1.1"] = StarAlgebra(e23).vertex("v")
+    for expr in (GenExpr.gen("e1.1"), GenExpr.gen("e1.1", True),
+                 GenExpr.gen("v") + GenExpr.gen("e1.1"),
+                 GenExpr.gen("v") * GenExpr.gen("e1.1")):
+        with pytest.raises(AlgebraError, match="different graphs"):
+            evaluate(expr, gmap)
+    rmap = phi0(e23)
+    rmap.images["e1"] = StarAlgebra(e23).edge("e1")
+    with pytest.raises(AlgebraError, match="different graphs"):
+        apply_map(rmap, StarAlgebra(e23).edge("e1"))
+
+
+def test_images_over_an_equal_graph_are_accepted(wmax22):
+    gmap = phi1(wmax22)
+    twin = StarAlgebra(phi1(wmax22).target.graph)
+    assert twin is not gmap.target
+    moved = GeneratorMap(gmap.kind, gmap.target,
+                         {n: twin.element(x.terms)
+                          for n, x in gmap.images.items()})
+    assert verify(moved, relations("weighted-l1", wmax22)).all_zero
+    expr = GenExpr.gen("e1.1") * GenExpr.gen("e1.1", True)
+    assert evaluate(expr, moved) == evaluate(expr, gmap)
 
 
 def test_corrupted_image_is_caught(e23):
