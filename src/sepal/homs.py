@@ -37,20 +37,12 @@ from .staralg import (
     Coeff,
     GHOST,
     StarAlgebra,
+    _collect,
     as_coeff,
     normal_form,
 )
 
 GenWord = tuple[tuple[str, bool], ...]
-
-
-def _collect(terms: dict, word, coeff) -> None:
-    """Add ``coeff`` to the term ``word`` of ``terms``, dropping a zero."""
-    c = terms.get(word, 0) + coeff
-    if c:
-        terms[word] = c
-    else:
-        terms.pop(word, None)
 
 
 class GenExpr:
@@ -609,14 +601,14 @@ def ideal_generators(kind: str, g, bound: int | None = None,
             d = g.graph
             names = [_slot(e, i) for e, _, _ in d.edges
                      for i in range(1, g.w[e] + 1)]
-            blocks = {n: gmap.images[n] for n in names}
             ends = {_slot(e, i): (d.src(e), d.rng(e)) for e, _, _ in d.edges
                     for i in range(1, g.w[e] + 1)}
         else:
             s = cons.to_separated(g)
             alg = StarAlgebra(s)
             names = list(s.graph.edge_names)
-            blocks = {n: alg.edge(n) for n in names}
+            gmap = GeneratorMap("identity", alg,
+                                {n: alg.edge(n) for n in names})
             ends = {n: (s.graph.src(n), s.graph.rng(n)) for n in names}
 
         def letter_ends(l):
@@ -630,10 +622,7 @@ def ideal_generators(kind: str, g, bound: int | None = None,
         words = _semigroup_words(names, compose, bound)
         projections: dict = {}
         for w in words:
-            acc = None
-            for n, starred in w:
-                img = blocks[n].star() if starred else blocks[n]
-                acc = img if acc is None else acc * img
+            acc = evaluate(GenExpr.word(*w), gmap)
             p = normal_form(acc * acc.star())
             if p.is_zero:
                 continue

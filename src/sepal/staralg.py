@@ -7,9 +7,16 @@ over Z.  A rational that a caller supplies (through ``element``, ``scale``
 or a parsed expression) stays an exact ``Fraction`` and mixes with the
 integers through plain arithmetic.  Coefficients are coerced once, at
 those public constructors; sums, products and rewrites combine
-coefficients that are already coerced.  Words store composability
-internally, so raw products of incomposable words vanish without any
-rewriting.  ``normal_form`` rewrites against two local patterns:
+coefficients that are already coerced.
+
+Every question about where a word starts and ends reads one table,
+``StarAlgebra.ends``, which maps each letter to its (source, range): a
+vertex letter to (v, v), a direct letter e to (s(e), r(e)) and a ghost
+letter e* to (r(e), s(e)).  ``element`` accepts only words whose letters
+meet, and a product groups its right operand by source vertex once and
+pairs each left word only with the group at that word's range, so words
+that do not compose are never paired.  ``normal_form`` rewrites against
+two local patterns:
 
 * a ghost letter followed by a direct letter of the same group collapses
   to the range vertex (equal edges) or kills the term (distinct edges);
@@ -56,8 +63,10 @@ class StarAlgebra:
         self.graph = graph
         self.sep = sep
         d = sep.graph
-        self._src = {e: s for e, s, _ in d.edges}
-        self._rng = {e: r for e, _, r in d.edges}
+        self.ends: dict[Letter, tuple[str, str]] = {
+            (v, VERTEX): (v, v) for v in d.vertices}
+        self.ends.update(((e, DIRECT), (s, r)) for e, s, r in d.edges)
+        self.ends.update(((e, GHOST), (r, s)) for e, s, r in d.edges)
         self.vertex_names = d.vertex_set
         self.group_key = sep.group_key
         self.members: dict[tuple[str, int], tuple[str, ...]] = {}
@@ -81,38 +90,48 @@ class StarAlgebra:
         return AlgElement(self, {((name, VERTEX),): 1})
 
     def edge(self, name: str) -> "AlgElement":
-        if name not in self._src:
+        if (name, DIRECT) not in self.ends:
             raise AlgebraError(f"unknown edge {name!r}")
         return AlgElement(self, {((name, DIRECT),): 1})
 
     def ghost(self, name: str) -> "AlgElement":
-        if name not in self._src:
+        if (name, GHOST) not in self.ends:
             raise AlgebraError(f"unknown edge {name!r}")
         return AlgElement(self, {((name, GHOST),): 1})
 
     def element(self, terms: dict[Word, Coeff]) -> "AlgElement":
+        """An element from words of this graph: each word is non-empty,
+        every letter is known, a vertex letter stands alone, and
+        consecutive letters meet."""
+        ends = self.ends
+        for w in terms:
+            if not w:
+                raise AlgebraError("the empty word is not an element")
+            if not all(l in ends for l in w):
+                raise AlgebraError(f"unknown letter in word {w!r}")
+            if len(w) > 1 and any(k == VERTEX for _, k in w):
+                raise AlgebraError(f"vertex letter inside word {w!r}")
+            if any(ends[a][1] != ends[b][0] for a, b in zip(w, w[1:])):
+                raise AlgebraError(f"letters of {w!r} do not meet")
         return AlgElement(self, {w: as_coeff(c) for w, c in terms.items()
                                  if c != 0})
 
     # -- word geometry
 
-    def letter_source(self, letter: Letter) -> str:
-        name, kind = letter
-        if kind == VERTEX:
-            return name
-        return self._src[name] if kind == DIRECT else self._rng[name]
-
-    def letter_range(self, letter: Letter) -> str:
-        name, kind = letter
-        if kind == VERTEX:
-            return name
-        return self._rng[name] if kind == DIRECT else self._src[name]
-
     def word_source(self, word: Word) -> str:
-        return self.letter_source(word[0])
+        return self.ends[word[0]][0]
 
     def word_range(self, word: Word) -> str:
-        return self.letter_range(word[-1])
+        return self.ends[word[-1]][1]
+
+
+def _collect(terms: dict, word, coeff) -> None:
+    """Add ``coeff`` to the term ``word`` of ``terms``, dropping a zero."""
+    c = terms.get(word, 0) + coeff
+    if c:
+        terms[word] = c
+    else:
+        terms.pop(word, None)
 
 
 def as_coeff(c) -> Coeff:
@@ -160,11 +179,7 @@ class AlgElement:
         self._need_same(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            c2 = terms.get(w, 0) + c
-            if c2:
-                terms[w] = c2
-            else:
-                terms.pop(w, None)
+            _collect(terms, w, c)
         return AlgElement(self.alg, terms)
 
     def __neg__(self) -> "AlgElement":
@@ -183,19 +198,20 @@ class AlgElement:
         if not isinstance(other, AlgElement):
             return self.scale(other)
         self._need_same(other)
-        alg = self.alg
+        ends = self.alg.ends
+        by_source: dict[str, list[tuple[Word, Coeff]]] = {}
+        for wb, cb in other.terms.items():
+            by_source.setdefault(ends[wb[0]][0], []).append((wb, cb))
         out: dict[Word, Coeff] = {}
         for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = _word_mul(alg, wa, wb)
-                if w is None:
-                    continue
-                c = out.get(w, 0) + ca * cb
-                if c:
-                    out[w] = c
-                else:
-                    out.pop(w, None)
-        return AlgElement(alg, out)
+            group = by_source.get(ends[wa[-1]][1], ())
+            if wa[0][1] == VERTEX:  # v b = b for every b that starts at v
+                for wb, cb in group:
+                    _collect(out, wb, ca * cb)
+                continue
+            for wb, cb in group:  # a u = a for the vertex u where a ends
+                _collect(out, wa if wb[0][1] == VERTEX else wa + wb, ca * cb)
+        return AlgElement(self.alg, out)
 
     def __rmul__(self, other) -> "AlgElement":
         return self.scale(other)
@@ -225,16 +241,6 @@ class AlgElement:
         return "<" + " + ".join(bits) + ">"
 
 
-def _word_mul(alg: StarAlgebra, a: Word, b: Word) -> Word | None:
-    if a[0][1] == VERTEX:
-        return b if a[0][0] == alg.word_source(b) else None
-    if b[0][1] == VERTEX:
-        return a if alg.word_range(a) == b[0][0] else None
-    if alg.word_range(a) != alg.word_source(b):
-        return None
-    return a + b
-
-
 def _word_star(w: Word) -> Word:
     if w[0][1] == VERTEX:
         return w
@@ -253,7 +259,7 @@ def _redexes(alg: StarAlgebra, word: Word) -> Iterator[int]:
             yield i
 
 
-def _splice(alg: StarAlgebra, word: Word, i: int, vertex: str) -> Word:
+def _splice(word: Word, i: int, vertex: str) -> Word:
     rest = word[:i] + word[i + 2:]
     return rest if rest else ((vertex, VERTEX),)
 
@@ -261,15 +267,16 @@ def _splice(alg: StarAlgebra, word: Word, i: int, vertex: str) -> Word:
 def _rewrite(alg: StarAlgebra, word: Word, i: int) -> list[tuple[Word, int]]:
     n1, k1 = word[i]
     n2, _ = word[i + 1]
-    if k1 == GHOST:
-        if n1 != n2:
-            return []
-        return [(_splice(alg, word, i, alg._rng[n1]), 1)]
-    out = [(_splice(alg, word, i, alg._src[n1]), 1)]
-    for g in alg.members[alg.group_key[n1]]:
-        if g != n1:
-            out.append((word[:i] + ((g, DIRECT), (g, GHOST)) + word[i + 2:],
-                        -1))
+    if k1 == GHOST and n1 != n2:
+        return []
+    # e* e collapses to r(e) and e e* expands around s(e): either way the
+    # vertex is the source of the redex's first letter
+    out = [(_splice(word, i, alg.ends[word[i]][0]), 1)]
+    if k1 == DIRECT:
+        for g in alg.members[alg.group_key[n1]]:
+            if g != n1:
+                out.append((word[:i] + ((g, DIRECT), (g, GHOST))
+                            + word[i + 2:], -1))
     return out
 
 
@@ -285,18 +292,10 @@ def normal_form(elem: AlgElement) -> AlgElement:
         word, coeff = pending.popitem()
         i = next(_redexes(alg, word), None)
         if i is None:
-            c = done.get(word, 0) + coeff
-            if c:
-                done[word] = c
-            else:
-                done.pop(word, None)
+            _collect(done, word, coeff)
             continue
         for new_word, sign in _rewrite(alg, word, i):
-            c = pending.get(new_word, 0) + sign * coeff
-            if c:
-                pending[new_word] = c
-            else:
-                pending.pop(new_word, None)
+            _collect(pending, new_word, sign * coeff)
     return AlgElement(alg, done)
 
 
@@ -324,23 +323,24 @@ def basis_words(alg: StarAlgebra, max_len: int,
                 start: str | None = None) -> list[Word]:
     """All irreducible words with at most ``max_len`` edge letters,
     optionally restricted to a given source vertex, in breadth-first order."""
-    letters = [(e, DIRECT) for e in alg._src] + [(e, GHOST) for e in alg._src]
-    vertices = (start,) if start else tuple(alg.sep.graph.vertices)
+    if start is not None and start not in alg.vertex_names:
+        raise AlgebraError(f"unknown vertex {start!r}")
+    # edge letters by source vertex: direct letters, then ghosts, each in
+    # edge order
+    leaving: dict[str, list[Letter]] = {}
+    for l, (s, _) in alg.ends.items():
+        if l[1] != VERTEX:
+            leaving.setdefault(s, []).append(l)
+    vertices = (start,) if start is not None else tuple(alg.sep.graph.vertices)
     out: list[Word] = [((v, VERTEX),) for v in vertices]
-    layer: list[Word] = []
-    for v in vertices:
-        for l in letters:
-            if alg.letter_source(l) == v:
-                layer.append((l,))
+    layer: list[Word] = [(l,) for v in vertices for l in leaving.get(v, ())]
     for _ in range(max_len):
         out += layer
         nxt = []
         for w in layer:
             if len(w) == max_len:
                 continue
-            for l in letters:
-                if alg.letter_source(l) != alg.word_range(w):
-                    continue
+            for l in leaving.get(alg.ends[w[-1]][1], ()):
                 two = (w[-1], l)
                 if next(_redexes(alg, two), None) is not None:
                     continue

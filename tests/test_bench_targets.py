@@ -37,16 +37,30 @@ def test_trace_target_resolves(target):
     assert callable(vars(owner).get(attr)), target
 
 
-def test_traced_run_sees_the_verify_path():
-    # one traced second of verify-small: every job checks out, and the
-    # layers the verify path runs through report work
+def _traced_second(workload: str) -> dict:
+    # one traced second of a workload; every job must check out
     proc = subprocess.run(
-        [sys.executable, str(BENCH / "run.py"), "--workload", "verify-small",
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+    return result["metrics"]
+
+
+def test_traced_run_sees_the_verify_path():
+    metrics = _traced_second("verify-small")
     for name in ("homs.evaluate.calls", "homs.relations.relations_built",
                  "staralg.normal_form.calls"):
-        assert result["metrics"][name]["value"] > 0, name
+        assert metrics[name]["value"] > 0, name
+
+
+def test_traced_run_sees_the_resolution_path():
+    # staralg.mul.pairs is |a|·|b| computed from the operands by the
+    # tracer, not pairs the product tried, so it is not checked here
+    metrics = _traced_second("resolve-wide")
+    for name in ("staralg.mul.calls", "staralg.normal_form.calls",
+                 "constructions.one_step_resolution.calls",
+                 "constructions.bratteli.union_edges"):
+        assert metrics[name]["value"] > 0, name

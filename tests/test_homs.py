@@ -28,6 +28,7 @@ from sepal.staralg import (
     GHOST,
     DIRECT,
     AlgebraError,
+    AlgElement,
     StarAlgebra,
     basis_words,
     corner,
@@ -251,8 +252,9 @@ def test_evaluate_missing_generator(wmax22):
 def test_empty_word_has_no_image(wmax22, e23):
     with pytest.raises(AlgebraError, match="empty"):
         evaluate(GenExpr.word(), phi1(wmax22))
+    # built past ``element``, which rejects the empty word itself
     with pytest.raises(AlgebraError, match="empty"):
-        apply_map(phi0(e23), StarAlgebra(e23).element({(): 1}))
+        apply_map(phi0(e23), AlgElement(StarAlgebra(e23), {(): 1}))
 
 
 def test_image_over_another_graph_is_rejected(wmax22, e23):

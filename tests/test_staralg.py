@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepal.constructions import (
+    bratteli,
     build_emn,
     separated_of_vertex_weighted,
     separated_of_weighted,
@@ -27,7 +30,7 @@ from sepal.staralg import (
     normal_form,
 )
 from sepal.exprs import parse_element
-from sepal.sweeps import weighted_sweep
+from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
 
 
 nf = normal_form
@@ -56,6 +59,34 @@ def nf_oracle(x, rng=None, max_steps=10_000):
                 "rewrite failed to shrink the term measure"
             pending[new_word] = pending.get(new_word, 0) + sign * coeff
     return alg.element(done)
+
+
+def mul_by_all_pairs(a, b):
+    """Oracle for ``AlgElement.__mul__``: try every pair of words, read
+    where each word starts and ends from the graph itself, and keep the
+    pairs that meet.  A vertex word acts as the identity on its side."""
+    d = a.alg.sep.graph
+
+    def ends(letter):
+        name, kind = letter
+        if kind == VERTEX:
+            return name, name
+        s, r = d.src(name), d.rng(name)
+        return (s, r) if kind == DIRECT else (r, s)
+
+    out = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            if ends(wa[-1])[1] != ends(wb[0])[0]:
+                continue
+            if wa[0][1] == VERTEX:
+                w = wb
+            elif wb[0][1] == VERTEX:
+                w = wa
+            else:
+                w = wa + wb
+            out[w] = out.get(w, 0) + ca * cb
+    return {w: c for w, c in out.items() if c != 0}
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +182,77 @@ def test_involution_and_associativity(A23):
         assert nf((a + b) * c) == nf(a * c + b * c)
 
 
+# the layers of depth-2 Bratteli towers over E(m,n) and over the direct
+# companions of the small weighted graphs
+TOWER_BASES = (emn_sweep()
+               + [separated_of_weighted(g) for g in weighted_sweep(2, 3, 2)])
+
+
+@functools.cache
+def tower_layer(base: int, depth: int) -> StarAlgebra:
+    return StarAlgebra(bratteli(TOWER_BASES[base], 2).layers[depth])
+
+
+@st.composite
+def walks(draw, alg):
+    """A start vertex, 0-3 edge letters that follow the graph from it, and
+    the vertex where they end."""
+    d = alg.sep.graph
+    start = v = draw(st.sampled_from(d.vertices))
+    letters = ()
+    for _ in range(draw(st.integers(0, 3))):
+        out = ([(e, DIRECT) for e in d.out_edges.get(v, ())]
+               + [(e, GHOST) for e in d.in_edges.get(v, ())])
+        if not out:
+            break
+        name, kind = draw(st.sampled_from(out))
+        letters += ((name, kind),)
+        v = d.rng(name) if kind == DIRECT else d.src(name)
+    return start, letters, v
+
+
+def as_word(letters, vertex):
+    return letters if letters else ((vertex, VERTEX),)
+
+
+COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
+                   st.fractions(-3, 3, max_denominator=4).filter(bool))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two elements over one tower layer: words from several start
+    vertices, vertex words among them, plus one walk w split twice as
+    w = h1 t1 = h2 t2 with coefficients that cancel in the product."""
+    alg = tower_layer(draw(st.integers(0, len(TOWER_BASES) - 1)),
+                      draw(st.integers(0, 2)))
+    sides = [{}, {}]
+    for terms in sides:
+        for _ in range(draw(st.integers(0, 4))):
+            start, letters, _ = draw(walks(alg))
+            terms[as_word(letters, start)] = draw(COEFFS)
+    start, letters, end = draw(walks(alg))
+    if letters:
+        i = draw(st.integers(0, len(letters) - 1))
+        j = draw(st.integers(i + 1, len(letters)))
+        c1, d1, c2 = draw(COEFFS), draw(COEFFS), draw(COEFFS)
+        for cut, c, k in ((i, c1, d1), (j, c2, Fraction(-c1 * d1) / c2)):
+            head = as_word(letters[:cut], start)
+            tail = as_word(letters[cut:], end)
+            sides[0][head] = sides[0].get(head, 0) + c
+            sides[1][tail] = sides[1].get(tail, 0) + k
+    return alg.element(sides[0]), alg.element(sides[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs())
+def test_products_pair_only_words_that_meet(pair):
+    a, b = pair
+    prod = a * b
+    assert prod.terms == mul_by_all_pairs(a, b)
+    assert 0 not in prod.terms.values()
+
+
 def test_mixing_carriers_rejected(A23):
     other = StarAlgebra(build_emn(1, 2))
     with pytest.raises(AlgebraError):
@@ -177,6 +279,25 @@ def test_unknown_names_rejected(A23):
         A23.ghost("v")
 
 
+def test_element_takes_only_words_of_the_graph(A23):
+    e1, e2 = ("e1", DIRECT), ("e2", DIRECT)
+    with pytest.raises(AlgebraError, match="empty"):
+        A23.element({(): 1})
+    with pytest.raises(AlgebraError, match="unknown letter"):
+        A23.element({(("zz", DIRECT),): 1})
+    with pytest.raises(AlgebraError, match="unknown letter"):
+        A23.element({(("e1", 5),): 1})
+    with pytest.raises(AlgebraError, match="vertex letter"):
+        A23.element({(("v", VERTEX), e1): 1})
+    with pytest.raises(AlgebraError, match="vertex letter"):
+        A23.element({(("v", VERTEX), ("v", VERTEX)): 1})
+    # r(e1) = w but s(e2) = v, so e1 e2 is not a word
+    with pytest.raises(AlgebraError, match="do not meet"):
+        A23.element({(e1, e2): 1})
+    x = A23.element({(e1, ("e2", GHOST)): 2, (("v", VERTEX),): 0})
+    assert x.terms == {(e1, ("e2", GHOST)): 2}
+
+
 # --- basis ---------------------------------------------------------------------
 
 def test_basis_words_are_normal_and_distinct(A23):
@@ -201,6 +322,29 @@ def test_basis_counts_grow(A23):
     n1 = len(basis_words(A23, 1))
     n2 = len(basis_words(A23, 2))
     assert 2 < n1 < n2
+
+
+def test_basis_rejects_an_unknown_start(A23):
+    with pytest.raises(AlgebraError, match="nope"):
+        basis_words(A23, 2, start="nope")
+    with pytest.raises(AlgebraError):
+        basis_words(A23, 2, start="")
+
+
+# sha256 of basis_words over bipartite_sweep(), in full to 3 letters and
+# from each start vertex to 2, recorded before the word-by-source indexing
+BASIS_DIGEST = \
+    "e44926c36a35759fa3657cc4d3e1ffa3565043759a3a8cfc46f1c5b72b31f9f5"
+
+
+def test_basis_words_are_pinned():
+    h = hashlib.sha256()
+    for g in bipartite_sweep():
+        alg = StarAlgebra(g)
+        h.update(repr(basis_words(alg, 3)).encode())
+        for v in g.base.graph.vertices:
+            h.update(repr(basis_words(alg, 2, start=v)).encode())
+    assert h.hexdigest() == BASIS_DIGEST
 
 
 # --- corners --------------------------------------------------------------------
@@ -266,7 +410,7 @@ def int_elements(draw):
             word = (draw(st.sampled_from(letters)),)
             for _ in range(draw(st.integers(0, 3))):
                 nxt = [l for l in letters
-                       if alg.letter_source(l) == alg.word_range(word)]
+                       if alg.ends[l][0] == alg.word_range(word)]
                 if not nxt:
                     break
                 word += (draw(st.sampled_from(nxt)),)
