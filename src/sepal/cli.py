@@ -332,10 +332,14 @@ def _cmd_monoid(ns):
         use = slim if gen in slim.generators else pres
         ans = monoids.leavitt_type(use, gen, budget)
         payload = {"generator": gen, "answer": ans.answer,
-                   "p": ans.p, "q": ans.q, "scanned": ans.scanned}
+                   "p": ans.p, "q": ans.q, "scanned": ans.scanned,
+                   "order": ans.order, "least": ans.least}
         if ans.answer == "yes":
             return "ok", payload, _prov(g, budget=budget), [
                 f"type ({ans.p}, {ans.q}) at {gen}"]
+        if ans.order is None:
+            return "unknown", payload, _prov(g, budget=budget), [
+                f"[{gen}] has infinite order in G(M), so no (p, q) exists"]
         return "unknown", payload, _prov(g, budget=budget), [
             "no (p, q) within budget"]
     if ns.what == "order-ideals":

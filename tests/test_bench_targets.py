@@ -64,3 +64,14 @@ def test_traced_run_sees_the_resolution_path():
                  "constructions.one_step_resolution.calls",
                  "constructions.bratteli.union_edges"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_traced_run_sees_the_monoid_path():
+    metrics = _traced_second("monoid-invariants")
+    for name in ("monoids.congruent.calls", "monoids.leavitt_type.calls",
+                 "mnlab.example_59_report.calls",
+                 "constructions.enumerate_hsat.found_per_scan"):
+        assert metrics[name]["value"] > 0, name
+    # the scan tries only multiples of ord([a]) and skips infinite order
+    scanned = metrics["monoids.leavitt_type.scanned"]["value"]
+    assert scanned / metrics["monoids.leavitt_type.calls"]["value"] < 20

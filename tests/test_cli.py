@@ -387,6 +387,22 @@ def test_monoid_leavitt_type(omega0_path):
                          "--generator", "v")
     assert code == 0
     assert (doc["payload"]["p"], doc["payload"]["q"]) == (1, 2)
+    assert (doc["payload"]["order"], doc["payload"]["least"]) == (2, True)
+
+
+def test_leavitt_type_of_infinite_order_scans_nothing(tmp_path):
+    # a sink is a free generator: [v] has infinite order in G(M) = Z, so
+    # no (p, q) exists and no word problem is run
+    sink = tmp_path / "sink.txt"
+    sink.write_text("graph separated\nvertex v\n")
+    code, doc = run_json("monoid", "leavitt-type", "--graph", str(sink))
+    assert code == 3
+    payload = doc["payload"]
+    assert (payload["answer"], payload["scanned"]) == ("unknown", 0)
+    assert (payload["order"], payload["least"]) == (None, False)
+    code, text = run("monoid", "leavitt-type", "--graph", str(sink))
+    assert code == 3
+    assert "[v] has infinite order in G(M), so no (p, q) exists" in text
 
 
 def test_monoid_order_ideals(omega0_path):

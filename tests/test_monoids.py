@@ -10,6 +10,7 @@ from sepal.graphs import GraphError
 from sepal.monoids import (
     Budget,
     MonoidPresentation,
+    class_order,
     congruent,
     default_budget,
     eliminate_identifications,
@@ -153,6 +154,21 @@ def test_congruent_budget_and_guards():
         congruent(p, (1, 0), p.unit("a"))
 
 
+def test_congruent_rejects_negative_vectors():
+    # -a is not in the monoid, so there is no word problem to answer
+    p = pres(["a"], ({"a": 1}, {"a": 2}))
+    for x, y in [((-1,), (0,)), ((0,), (-1,)), ((-1,), (-1,))]:
+        with pytest.raises(GraphError, match="nonnegative"):
+            congruent(p, x, y)
+
+
+@pytest.mark.parametrize("field", ["coord_sum", "states"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "4", None])
+def test_budget_fields_are_integers(field, value):
+    with pytest.raises(GraphError, match=f"budget {field} must be an integer"):
+        Budget(**{field: value})
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("SEPAL_BUDGET_STATES", "123")
     assert default_budget().states == 123
@@ -228,19 +244,129 @@ def test_grothendieck_invariance(omega0_35):
     assert grothendieck(renamed) == grothendieck(p)
 
 
+# --- class order -------------------------------------------------------------------------
+
+def _minor_rank(rows, width):
+    return max((k for k in range(1, min(len(rows), width) + 1)
+                if _minor_gcd(rows, width, k)), default=0)
+
+
+def order_by_minors(p, gen):
+    """ord([gen]) in G = Z^n / <rows> from determinantal divisors: appending
+    the row e_gen presents G/<[gen]>; the class has infinite order when that
+    raises the rank r, and otherwise ord = D_r(A) / D_r(A with e_gen)."""
+    n = len(p.generators)
+    rows = [[a - b for a, b in zip(l, r)] for l, r in p.relations]
+    cut = rows + [list(p.unit(gen))]
+    r = _minor_rank(rows, n)
+    if _minor_rank(cut, n) > r:
+        return None
+    return _minor_gcd(rows, n, r) // _minor_gcd(cut, n, r)
+
+
+small_vectors = st.lists(st.integers(0, 3), min_size=3, max_size=3).map(tuple)
+small_presentations = st.lists(
+    st.tuples(small_vectors, small_vectors), max_size=3).map(
+        lambda rels: MonoidPresentation(("a", "b", "c"), tuple(rels)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_presentations, st.sampled_from("abc"))
+def test_class_order_matches_minor_gcds(p, gen):
+    assert class_order(p, gen) == order_by_minors(p, gen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(weighted_sweep(2, 3, 2)), st.data())
+def test_class_order_matches_minor_gcds_on_companions(g, data):
+    slim = eliminate_identifications(m1_of(g))
+    gen = data.draw(st.sampled_from(slim.generators))
+    assert class_order(slim, gen) == order_by_minors(slim, gen)
+
+
+def test_class_order_examples(omega0_35):
+    assert class_order(eliminate_identifications(m1_of(omega0_35)), "v") == 2
+    assert class_order(MonoidPresentation(("a",), ()), "a") is None
+    two = pres(["a", "b"], ({"a": 2}, {}), ({"b": 3}, {"a": 1}))
+    assert str(grothendieck(two)) == "Z/6"
+    assert (class_order(two, "a"), class_order(two, "b")) == (2, 6)
+    with pytest.raises(GraphError, match="unknown generator"):
+        class_order(two, "c")
+
+
 # --- module type ------------------------------------------------------------------------
+
+def leavitt_type_by_full_scan(p, gen, budget):
+    """The unpruned scan: one word problem for every pair with p + q at
+    most the coordinate budget, in order of p, then q, up to the first yes.
+    Returns the answer, the pair and every (p, q, answer) scanned."""
+    scanned = []
+    for p_ in range(1, budget.coord_sum):
+        for q_ in range(1, budget.coord_sum - p_ + 1):
+            ans = congruent(p, p.unit(gen, p_), p.unit(gen, p_ + q_), budget)
+            scanned.append((p_, q_, ans.answer))
+            if ans.answer == "yes":
+                return ("yes", p_, q_), scanned
+    return ("unknown", None, None), scanned
+
+
+def _check_against_full_scan(p, gen, budget):
+    want, scanned = leavitt_type_by_full_scan(p, gen, budget)
+    got = leavitt_type(p, gen, budget)
+    assert (got.answer, got.p, got.q) == want
+    assert got.order == class_order(p, gen)
+    if got.order is None:
+        assert got.scanned == 0 and not got.least
+        return
+    kept = [ans for _, q_, ans in scanned if q_ % got.order == 0]
+    assert got.scanned == len(kept)
+    assert got.least == (got.answer == "yes"
+                         and all(ans == "no" for ans in kept[:-1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_presentations, st.sampled_from("abc"), st.integers(2, 8))
+def test_leavitt_type_matches_full_scan(p, gen, coord_sum):
+    _check_against_full_scan(p, gen, Budget(coord_sum=coord_sum, states=500))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(weighted_sweep(2, 3, 2)), st.data())
+def test_leavitt_type_matches_full_scan_on_companions(g, data):
+    p = m1_of(g)
+    gen = data.draw(st.sampled_from(p.generators))
+    _check_against_full_scan(p, gen, Budget(coord_sum=7, states=2000))
+
 
 def test_leavitt_type_of_single_relation_monoids():
     for n in range(2, 7):
         p = pres(["a"], ({"a": 1}, {"a": n}))
         ans = leavitt_type(p, "a")
         assert (ans.answer, ans.p, ans.q) == ("yes", 1, n - 1)
+        assert (ans.order, ans.least, ans.scanned) == (n - 1, True, 1)
 
 
 def test_leavitt_type_unknown_for_free_monoid():
     free = MonoidPresentation(("a",), ())
     ans = leavitt_type(free, "a", Budget(coord_sum=8, states=1000))
     assert ans.answer == "unknown"
+    assert (ans.order, ans.least, ans.scanned) == (None, False, 0)
+
+
+def test_leavitt_type_least_only_after_certified_noes():
+    # a = 2a + b, b = 2b: [a] = -[b] and [b] = 0, so every q is tried; the
+    # pair (1, 1) is the first yes, and nothing is scanned before it
+    p = pres(["a", "b"], ({"a": 1}, {"a": 2, "b": 1}), ({"b": 1}, {"b": 2}))
+    ans = leavitt_type(p, "a", Budget(coord_sum=6, states=2000))
+    assert ans.order == 1
+    assert (ans.answer, ans.p, ans.q, ans.least) == ("yes", 1, 1, True)
+    # 0 = b grows every class past the coordinate cap, so no pair with
+    # p = 1 is settled; (2, 1) comes back yes but is not certified least
+    p = pres(["a", "b"], ({}, {"b": 1}), ({"a": 2}, {"a": 3}))
+    ans = leavitt_type(p, "a", Budget(coord_sum=8, states=300))
+    assert ans.order == 1
+    assert (ans.answer, ans.p, ans.q, ans.least) == ("yes", 2, 1, False)
+    assert ans.scanned == 8
 
 
 def test_omega0_family_values(omega0_35):
@@ -248,6 +374,7 @@ def test_omega0_family_values(omega0_35):
     assert str(grothendieck(slim)) == "Z/2"
     ans = leavitt_type(slim, "v")
     assert (ans.p, ans.q) == (1, 2)
+    assert (ans.order, ans.least) == (2, True)
 
 
 # --- order ideals -------------------------------------------------------------------------
