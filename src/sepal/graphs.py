@@ -15,14 +15,22 @@ non-empty report into a ``GraphError``.  Validation happens once, where a
 graph enters: every public function calls ``require_valid`` on its graph
 arguments.  Functions that build graphs from a checked input do not
 re-check their outputs; the tests assert that those outputs are valid.
+
+Each graph object is validated once.  Its fields are tuples of names and
+weights, so its report is a pure function of the value; the report is
+stored on the graph as a tuple, like ``vertex_set`` or ``out_edges``, and
+repeat checks of the same object (``enumerate_hsat`` runs one per closure
+step) only copy it.  A separated, bipartite or weighted graph builds its
+report on the stored report of the graph inside it.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union, get_args
 
 Edge = tuple[str, str, str]  # (name, source vertex, range vertex)
 
@@ -31,14 +39,19 @@ class GraphError(ValueError):
     """An operation received a structurally invalid graph or argument."""
 
 
+# matches exactly the characters with c.isspace() or c == "#"
+_BAD_CHAR = re.compile(r"[\s#]")
+
+
 def _check_names(kind: str, names: Iterable[str], out: list[str]) -> None:
-    seen = Counter(names)
-    for name, count in seen.items():
+    for name, count in Counter(names).items():
         if count > 1:
             out.append(f"duplicate {kind} name {name!r}")
-        if not name:
+        if not isinstance(name, str):
+            out.append(f"{kind} name {name!r} is not a string")
+        elif not name:
             out.append(f"empty {kind} name")
-        elif any(c.isspace() or c == "#" for c in name):
+        elif _BAD_CHAR.search(name):
             out.append(f"{kind} name {name!r} contains whitespace or '#'")
 
 
@@ -86,6 +99,10 @@ class DirectedGraph:
     @property
     def separated(self) -> "SeparatedGraph":
         raise GraphError("plain directed graph carries no separation")
+
+    @cached_property
+    def _report(self) -> tuple[str, ...]:
+        return tuple(_validate_directed(self))
 
 
 @dataclass(frozen=True)
@@ -159,6 +176,10 @@ class SeparatedGraph:
     def separated(self) -> "SeparatedGraph":
         return self
 
+    @cached_property
+    def _report(self) -> tuple[str, ...]:
+        return tuple(_validate_separated(self))
+
 
 @dataclass(frozen=True)
 class BipartiteSeparatedGraph:
@@ -226,6 +247,10 @@ class BipartiteSeparatedGraph:
     def separated(self) -> SeparatedGraph:
         return self.base
 
+    @cached_property
+    def _report(self) -> tuple[str, ...]:
+        return tuple(_validate_bipartite(self))
+
 
 @dataclass(frozen=True)
 class WeightedGraph:
@@ -253,8 +278,14 @@ class WeightedGraph:
     def edges(self) -> tuple[Edge, ...]:
         return self.graph.edges
 
+    @cached_property
+    def _report(self) -> tuple[str, ...]:
+        return tuple(_validate_weighted(self))
+
 
 AnyGraph = Union[DirectedGraph, SeparatedGraph, BipartiteSeparatedGraph, WeightedGraph]
+# a tuple for isinstance, which tests it several times faster than the Union
+_GRAPH_TYPES = get_args(AnyGraph)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +307,7 @@ def _validate_directed(g: DirectedGraph) -> list[str]:
 
 
 def _validate_separated(g: SeparatedGraph) -> list[str]:
-    out = _validate_directed(g.graph)
+    out = list(g.graph._report)
     known = set(g.graph.edge_names)
     for v, groups in g.separation:
         if v not in g.graph.vertex_set:
@@ -299,7 +330,7 @@ def _validate_separated(g: SeparatedGraph) -> list[str]:
         missing = fiber - set(listed)
         if missing:
             out.append(f"separation does not cover s^-1({v}): missing "
-                       + ", ".join(sorted(missing)))
+                       + ", ".join(sorted(map(str, missing))))
     covered = {v for v, _ in g.separation}
     for v in g.graph.vertices:
         if g.graph.out_edges.get(v) and v not in covered:
@@ -308,14 +339,15 @@ def _validate_separated(g: SeparatedGraph) -> list[str]:
 
 
 def _validate_bipartite(g: BipartiteSeparatedGraph) -> list[str]:
-    out = _validate_separated(g.base)
+    out = list(g.base._report)
     both = g.upper_set & g.lower_set
-    for v in sorted(both):
+    for v in sorted(both, key=str):
         out.append(f"vertex {v!r} appears on both levels")
     uncovered = g.base.graph.vertex_set - g.upper_set - g.lower_set
-    for v in sorted(uncovered):
+    for v in sorted(uncovered, key=str):
         out.append(f"vertex {v!r} assigned to neither level")
-    for v in sorted((g.upper_set | g.lower_set) - g.base.graph.vertex_set):
+    for v in sorted((g.upper_set | g.lower_set) - g.base.graph.vertex_set,
+                    key=str):
         out.append(f"level assignment names unknown vertex {v!r}")
     for name, s, r in g.base.graph.edges:
         if s in g.lower_set:
@@ -326,13 +358,13 @@ def _validate_bipartite(g: BipartiteSeparatedGraph) -> list[str]:
 
 
 def _validate_weighted(g: WeightedGraph) -> list[str]:
-    out = _validate_directed(g.graph)
+    out = list(g.graph._report)
     names = set(g.graph.edge_names)
     for e, w in g.weights:
         if e not in names:
             out.append(f"weight given for unknown edge {e!r}")
-        if w <= 0:
-            out.append(f"weight of {e!r} is {w}; weights are positive integers")
+        if not isinstance(w, int) or w <= 0:
+            out.append(f"weight of {e!r} is {w!r}; weights are positive integers")
     weighted = {e for e, _ in g.weights}
     for e in g.graph.edge_names:
         if e not in weighted:
@@ -344,16 +376,15 @@ def _validate_weighted(g: WeightedGraph) -> list[str]:
 
 
 def validate(g: AnyGraph) -> list[str]:
-    """Return a list of violated invariants; empty means the graph is valid."""
-    if isinstance(g, BipartiteSeparatedGraph):
-        return _validate_bipartite(g)
-    if isinstance(g, SeparatedGraph):
-        return _validate_separated(g)
-    if isinstance(g, WeightedGraph):
-        return _validate_weighted(g)
-    if isinstance(g, DirectedGraph):
-        return _validate_directed(g)
-    raise TypeError(f"not a graph: {type(g).__name__}")
+    """Return a list of violated invariants; empty means the graph is valid.
+
+    The report is computed on the first call for each graph object and
+    stored on it, since the graph is immutable; every call returns a fresh
+    list, so a caller that changes it cannot change the stored report.
+    """
+    if not isinstance(g, _GRAPH_TYPES):
+        raise TypeError(f"not a graph: {type(g).__name__}")
+    return list(g._report)
 
 
 def require_valid(g: AnyGraph) -> None:
@@ -416,7 +447,7 @@ def as_bipartite(g: SeparatedGraph | BipartiteSeparatedGraph) -> BipartiteSepara
     if not isinstance(g, SeparatedGraph):
         raise GraphError(f"expected a separated graph, got {type(g).__name__}")
     b = BipartiteSeparatedGraph.make(g)
-    report = _validate_bipartite(b)
+    report = b._report
     if report:
         raise GraphError("not bipartite: " + "; ".join(report))
     return b

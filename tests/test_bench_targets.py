@@ -68,8 +68,10 @@ def test_traced_run_sees_the_resolution_path():
 
 def test_traced_run_sees_the_monoid_path():
     metrics = _traced_second("monoid-invariants")
+    # a graph's stored report is read through the public validate, so the
+    # tracer still sees every check
     for name in ("monoids.congruent.calls", "monoids.leavitt_type.calls",
-                 "mnlab.example_59_report.calls",
+                 "mnlab.example_59_report.calls", "graphs.validate.calls",
                  "constructions.enumerate_hsat.found_per_scan"):
         assert metrics[name]["value"] > 0, name
     # the scan tries only multiples of ord([a]) and skips infinite order

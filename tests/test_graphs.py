@@ -1,6 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from sepal import graphs
+from sepal.constructions import enumerate_hsat, separated_of_weighted
 from sepal.graphs import (
     BipartiteSeparatedGraph,
     DirectedGraph,
@@ -14,6 +16,9 @@ from sepal.graphs import (
     validate,
     vertex_weight,
 )
+from sepal.homs import phi1
+from sepal.monoids import m1_of
+from sepal.staralg import StarAlgebra
 
 
 def triangle():
@@ -156,3 +161,124 @@ def test_trivial_separation_always_validates(pairs):
     edges = [(f"e{i}", s, r) for i, (s, r) in enumerate(pairs)]
     g = DirectedGraph.make(vertices, edges)
     assert validate(SeparatedGraph.with_trivial_separation(g)) == []
+
+
+def test_bad_name_pattern_is_isspace_or_hash():
+    # over every code point, surrogates included
+    text = "".join(map(chr, range(0x110000)))
+    found = {m.start() for m in graphs._BAD_CHAR.finditer(text)}
+    assert found == {i for i, c in enumerate(text)
+                     if c.isspace() or c == "#"}
+
+
+@pytest.mark.parametrize("weight", [2.5, "2"])
+def test_non_integer_weight_is_a_violation(weight):
+    g = WeightedGraph.make(DirectedGraph.make(("v",), [("e", "v", "v")]),
+                           {"e": weight})
+    assert validate(g) == [
+        f"weight of 'e' is {weight!r}; weights are positive integers"]
+    for build in (require_valid, separated_of_weighted, m1_of, phi1):
+        with pytest.raises(GraphError):
+            build(g)
+
+
+def test_non_string_names_are_violations():
+    d = DirectedGraph.make((1, "w"), [("e", 1, "w")])
+    assert validate(d) == ["vertex name 1 is not a string"]
+    with pytest.raises(GraphError):
+        require_valid(WeightedGraph.make(d, {"e": 1}))
+    d = DirectedGraph.make(("v", "w"), [(7, "v", "w"), ("f", "v", "w")])
+    assert validate(d) == ["edge name 7 is not a string"]
+    s = SeparatedGraph.make(d, {"v": [["f"]]})
+    assert validate(s) == ["edge name 7 is not a string",
+                           "separation does not cover s^-1(v): missing 7"]
+    # levels that mix names and non-names are reported, not sorted together
+    d = DirectedGraph.make(("u", 1), [("e", "u", 1)])
+    b = BipartiteSeparatedGraph.make(SeparatedGraph.make(d, {"u": [["e"]]}),
+                                     upper=("u", 1), lower=(1, "u", 2))
+    assert validate(b) == [
+        "vertex name 1 is not a string",
+        "vertex 1 appears on both levels", "vertex 'u' appears on both levels",
+        "level assignment names unknown vertex 2",
+        "edge 'e' starts at lower vertex 'u'", "edge 'e' ends at upper vertex 1"]
+
+
+def _faults(i, v):
+    """What each kind of fault ``i`` adds to a valid weighted graph with a
+    vertex ``v``: (vertices, edges, weights).  Each gives a message."""
+    loop = [(f"x{i}", v, v)]
+    return {
+        "duplicate vertex": ([v], [], {}),
+        "bad name": ([f"b {i}"], [(f"x{i}", f"b {i}", f"b {i}")], {f"x{i}": 1}),
+        "unknown range": ([], [(f"x{i}", v, "zz")], {f"x{i}": 1}),
+        "isolated vertex": ([f"iso{i}"], [], {}),
+        "int vertex": ([i], [], {}),
+        "no weight": ([], loop, {}),
+        "weight for unknown edge": ([], [], {f"x{i}": 1}),
+        "zero weight": ([], loop, {f"x{i}": 0}),
+        "float weight": ([], loop, {f"x{i}": 2.5}),
+        "string weight": ([], loop, {f"x{i}": "2"}),
+    }
+
+
+def _views(vertices, edges, weights):
+    d = DirectedGraph.make(vertices, edges)
+    s = SeparatedGraph.with_trivial_separation(d)
+    return (d, WeightedGraph.make(d, weights), s,
+            BipartiteSeparatedGraph.make(s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(names, names, st.integers(1, 3)),
+                min_size=1, max_size=5),
+       st.lists(st.sampled_from(sorted(_faults(0, "a"))), max_size=5))
+def test_stored_report_is_the_report_of_the_value(triples, faults):
+    vertices = sorted({x for s, r, _ in triples for x in (s, r)})
+    edges = [(f"e{i}", s, r) for i, (s, r, _) in enumerate(triples)]
+    weights = {f"e{i}": w for i, (_, _, w) in enumerate(triples)}
+    for i, kind in enumerate(faults):
+        more_vertices, more_edges, more_weights = _faults(i, vertices[0])[kind]
+        vertices += more_vertices
+        edges += more_edges
+        weights.update(more_weights)
+    views = _views(vertices, edges, weights)
+    assert bool(validate(views[1])) == bool(faults)
+    for view, fresh in zip(views, _views(vertices, edges, weights)):
+        first = validate(view)
+        first.append("changed by the caller")
+        second = validate(view)
+        assert second == first[:-1]
+        assert fresh == view and validate(fresh) == second
+        assert validate(view) == second
+
+
+def _record_checks(monkeypatch, *names):
+    """Record the graph of every call of the named private validators."""
+    checked = []
+    for name in names:
+        def recording(g, real=getattr(graphs, name)):
+            checked.append(g)
+            return real(g)
+        monkeypatch.setattr(graphs, name, recording)
+    return checked
+
+
+def test_enumerate_hsat_validates_its_graph_once(monkeypatch):
+    checked = _record_checks(monkeypatch, "_validate_separated")
+    d = DirectedGraph.make(("u", "v"),
+                           [("e", "u", "v"), ("f", "v", "u"), ("g", "u", "u")])
+    b = separated_of_weighted(WeightedGraph.make(d, {"e": 2, "f": 1, "g": 2}))
+    assert len(b.vertices) >= 6
+    assert len(enumerate_hsat(b)) > 2
+    assert checked == [b.base]
+
+
+def test_as_bipartite_keeps_the_report_it_computes(monkeypatch):
+    checked = _record_checks(monkeypatch, "_validate_separated",
+                             "_validate_bipartite")
+    s = SeparatedGraph.with_trivial_separation(
+        DirectedGraph.make(("u", "w"), [("e", "u", "w"), ("f", "u", "w")]))
+    b = as_bipartite(s)
+    StarAlgebra(b)
+    require_valid(b)
+    assert checked == [b, s]
