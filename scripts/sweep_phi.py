@@ -19,7 +19,7 @@ from sepal.constructions import (
     weighted_completion,
 )
 from sepal.graphs import is_vertex_weighted
-from sepal.homs import phi0, phi1, phi_vw, relations, rho_tau, verify
+from sepal.homs import MAPS, relations, verify
 from sepal.graphio import print_graph
 from sepal.sweeps import weighted_sweep
 
@@ -27,26 +27,18 @@ from sepal.sweeps import weighted_sweep
 def check(g, maps):
     failures = []
     checked = 0
-    if "phi" in maps and is_vertex_weighted(g):
-        rep = verify(phi_vw(g), relations("weighted", g))
-        checked += rep.checked
-        failures += [("phi", l) for l, _ in rep.failures]
-    if "phi1" in maps:
-        rep = verify(phi1(g), relations("weighted-l1", g))
-        checked += rep.checked
-        failures += [("phi1", l) for l, _ in rep.failures]
     if "phi0" in maps or "rho-tau" in maps:
         double = separated_of_vertex_weighted(weighted_completion(g))
-        if "phi0" in maps:
-            rep = verify(phi0(double), relations("separated", double.base))
+    for name, (build, families) in MAPS.items():
+        if name not in maps or name == "phi" and not is_vertex_weighted(g):
+            continue
+        # phi and phi1 take g itself, phi0 and rho-tau its bipartite double
+        arg = g if name in ("phi", "phi1") else double
+        gmap = build(arg)
+        for family in families:
+            rep = verify(gmap, relations(family, arg))
             checked += rep.checked
-            failures += [("phi0", l) for l, _ in rep.failures]
-        if "rho-tau" in maps:
-            gmap = rho_tau(double)
-            for kind in ("lv", "lw"):
-                rep = verify(gmap, relations(kind, double))
-                checked += rep.checked
-                failures += [("rho-tau", kind, l) for l, _ in rep.failures]
+            failures += [(name, family, l) for l, _ in rep.failures]
     return checked, failures
 
 

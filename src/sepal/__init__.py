@@ -7,6 +7,8 @@ from .graphs import (
     SeparatedGraph,
     WeightedGraph,
     as_bipartite,
+    as_separated,
+    as_weighted,
     classify,
     is_vertex_weighted,
     require_valid,

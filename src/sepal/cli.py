@@ -26,25 +26,8 @@ from .graphio import (
     load_graph,
     print_graph,
 )
-from .graphs import (
-    BipartiteSeparatedGraph,
-    GraphError,
-    SeparatedGraph,
-    WeightedGraph,
-    as_bipartite,
-    is_vertex_weighted,
-    validate,
-)
-from .homs import (
-    evaluate,
-    ideal_generators,
-    phi0,
-    phi1,
-    phi_vw,
-    relations,
-    rho_tau,
-    verify,
-)
+from .graphs import GraphError, WeightedGraph, is_vertex_weighted, validate
+from .homs import MAPS, evaluate, ideal_generators, phi1, relations, verify
 from .staralg import AlgebraError, StarAlgebra, normal_form
 
 _EXIT = {"ok": 0, "fail": 1, "error": 2, "unknown": 3}
@@ -106,23 +89,19 @@ def _cmd_construct(ns):
                              f"two-vertex graph, groups of {ns.n} and {ns.m}")
     g = load_graph(ns.graph)
     if which == "vw2sep":
-        if not isinstance(g, WeightedGraph):
-            raise GraphError("vw2sep needs a weighted graph")
         return _graph_result(cons.separated_of_vertex_weighted(g),
                              "bipartite double")
     if which == "w2sep":
-        if not isinstance(g, WeightedGraph):
-            raise GraphError("w2sep needs a weighted graph")
         return _graph_result(cons.separated_of_weighted(g),
                              "direct companion")
     if which == "resolve":
-        return _graph_result(cons.one_step_resolution(as_bipartite(g)),
+        return _graph_result(cons.one_step_resolution(g),
                              "one-step resolution")
     if which == "quotient":
         return _graph_result(cons.quotient_graph(g, ns.set.split()),
                              "quotient by hereditary saturated set")
     if which == "bratteli":
-        tower = cons.bratteli(as_bipartite(g), ns.depth, cap=ns.cap)
+        tower = cons.bratteli(g, ns.depth, cap=ns.cap)
         lines = []
         payload = {"layers": [], "unions": []}
         for k, layer in enumerate(tower.layers):
@@ -189,38 +168,15 @@ def _cmd_nf(ns):
     return "ok", payload, _prov(g, alg=alg), [f"# {note}", text]
 
 
-_VERIFY_KINDS = ("phi", "phi1", "phi0", "rho-tau")
-
-
 def _verify_single(kind: str, g):
-    if kind == "phi":
-        if not isinstance(g, WeightedGraph):
-            raise GraphError("phi needs a weighted graph")
-        if not is_vertex_weighted(g):
-            raise GraphError("phi needs a vertex-weighted graph")
-        gmap = phi_vw(g)
-        sets = [relations("weighted", g)]
-    elif kind == "phi1":
-        if not isinstance(g, WeightedGraph):
-            raise GraphError("phi1 needs a weighted graph")
-        gmap = phi1(g)
-        sets = [relations("weighted-l1", g)]
-    elif kind == "phi0":
-        bip = as_bipartite(g)
-        gmap = phi0(bip)
-        sets = [relations("separated", bip.base)]
-    elif kind == "rho-tau":
-        bip = as_bipartite(g)
-        gmap = rho_tau(bip)
-        sets = [relations("lv", bip), relations("lw", bip)]
-    else:
-        raise GraphError(f"unknown map {kind!r}")
+    build, families = MAPS[kind]
+    gmap = build(g)
     checked = 0
     failures = []
-    for rs in sets:
-        rep = verify(gmap, rs)
+    for family in families:
+        rep = verify(gmap, relations(family, g))
         checked += rep.checked
-        failures += [(rs.kind, label, format_element(res))
+        failures += [(family, label, format_element(res))
                      for label, res in rep.failures]
     return gmap, checked, failures
 
@@ -245,8 +201,7 @@ def _cmd_verify(ns):
             bad += len(failures)
             entries.append({
                 "graph_sha256": graph_sha256(g),
-                "vertices": len(g.graph.vertices if isinstance(
-                    g, WeightedGraph) else g.vertices),
+                "vertices": len(g.vertices),
                 "checked": checked,
                 "failures": [list(f) for f in failures],
             })
@@ -274,20 +229,10 @@ def _cmd_verify(ns):
 def _cmd_ideal_gens(ns):
     g = load_graph(ns.graph)
     kind = ns.kind
-    if kind == "kernel":
-        gens = ideal_generators("kernel", as_bipartite(g))
-    elif kind == "hsat":
-        if ns.set is None:
-            raise GraphError("hsat generators need --set")
-        gens = ideal_generators("hsat", g, subset=ns.set.split())
-    elif kind == "commutator":
-        gens = ideal_generators("commutator", g, bound=ns.bound)
-    elif kind == "i0":
-        if not isinstance(g, WeightedGraph):
-            raise GraphError("i0 needs a weighted graph")
-        gens = ideal_generators("i0", g)
-    else:
-        raise GraphError(f"unknown ideal kind {kind!r}")
+    if kind == "hsat" and ns.set is None:
+        raise GraphError("hsat generators need --set")
+    subset = None if ns.set is None else ns.set.split()
+    gens = ideal_generators(kind, g, bound=ns.bound, subset=subset)
     payload = {"kind": kind, "count": len(gens),
                "generators": [{"label": lab, "element": format_element(el)}
                               for lab, el in gens]}
@@ -471,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_nf)
 
     p = sub.add_parser("verify", help="check a generator map on relations")
-    p.add_argument("map", choices=_VERIFY_KINDS)
+    p.add_argument("map", choices=tuple(MAPS))
     p.add_argument("--graph")
     p.add_argument("--sweep", action="store_true",
                    help="run over the built-in family of small graphs")

@@ -23,21 +23,16 @@ from .graphs import (
     GraphError,
     SeparatedGraph,
     WeightedGraph,
+    as_bipartite,
+    as_separated,
+    as_weighted,
     is_vertex_weighted,
-    require_valid,
     vertex_weight,
 )
 
 
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
-
-
-def to_separated(g) -> SeparatedGraph:
-    try:
-        return g.separated
-    except AttributeError:
-        raise GraphError(f"expected a separated graph, got {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +95,7 @@ def build_emn(m: int, n: int) -> BipartiteSeparatedGraph:
 
 def weighted_completion(g: WeightedGraph) -> WeightedGraph:
     """Raise every edge weight to the weight of its source vertex."""
-    require_valid(g)
+    g = as_weighted(g)
     return WeightedGraph.make(
         g.graph, {e: vertex_weight(g, s) for e, s, _ in g.graph.edges})
 
@@ -114,7 +109,7 @@ def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
     at v_0 is split into the tilde group and the h group, in that order;
     resolution tuples below depend on this order.
     """
-    require_valid(g)
+    g = as_weighted(g)
     if not is_vertex_weighted(g):
         raise GraphError("edge weights must equal their source vertex weight")
     d = g.graph
@@ -139,7 +134,7 @@ def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
     """Resolve each upper fiber: new lower vertices are the choice tuples
     across the groups of an upper vertex, and each old edge x spawns the
     group of edges a^x(...) out of r(x), one per complementary tuple."""
-    require_valid(g)
+    g = as_bipartite(g)
     if not g.is_proper:
         raise GraphError("one-step resolution needs a proper bipartite graph")
     d = g.base.graph
@@ -178,7 +173,7 @@ def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
     of weight >= i.  Edge groups sit at the range vertex: for each incoming
     edge e the group a^e(1..weight(e)).
     """
-    require_valid(g)
+    g = as_weighted(g)
     d = g.graph
     lower = tuple(name_slot_vertex(e, i)
                   for e, _, _ in d.edges for i in range(1, g.w[e] + 1))
@@ -206,7 +201,7 @@ def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
 def thm310_hidden_vertices(g: WeightedGraph) -> frozenset[str]:
     """Tuple vertices of the resolved completion that track the weight slots
     missing from the original graph: v(e~,h(v,j)) for weight(e) < j."""
-    require_valid(g)
+    g = as_weighted(g)
     hidden = set()
     for e, s, _ in g.graph.edges:
         for j in range(g.w[e] + 1, vertex_weight(g, s) + 1):
@@ -218,6 +213,7 @@ def thm310_rename(g: WeightedGraph) -> dict[str, str]:
     """Rename table from resolved-completion names to the direct companion
     names of ``separated_of_weighted``: v(e~,h(v,j)) -> v(e,j),
     a^h(v,i)(e~) -> a{i}(e), a^e~(h(v,i)) -> a^e(i), v_1 -> v."""
+    g = as_weighted(g)
     table: dict[str, str] = {}
     for v in g.graph.vertices:
         table[name_lower_copy(v)] = v
@@ -234,24 +230,22 @@ def thm310_rename(g: WeightedGraph) -> dict[str, str]:
 
 def rename_graph(g, table: dict[str, str]):
     """Apply a vertex/edge rename table; names not listed stay unchanged."""
+    s = as_separated(g)
+
     def nm(x: str) -> str:
         return table.get(x, x)
 
-    def do_sep(s: SeparatedGraph) -> SeparatedGraph:
-        graph = DirectedGraph.make(
-            [nm(v) for v in s.graph.vertices],
-            [(nm(e), nm(a), nm(b)) for e, a, b in s.graph.edges])
-        return SeparatedGraph.make(
-            graph, {nm(v): [[nm(e) for e in grp] for grp in groups]
-                    for v, groups in s.separation})
-
+    graph = DirectedGraph.make(
+        [nm(v) for v in s.graph.vertices],
+        [(nm(e), nm(a), nm(b)) for e, a, b in s.graph.edges])
+    out = SeparatedGraph.make(
+        graph, {nm(v): [[nm(e) for e in grp] for grp in groups]
+                for v, groups in s.separation})
     if isinstance(g, BipartiteSeparatedGraph):
         return BipartiteSeparatedGraph.make(
-            do_sep(g.base), upper=[nm(v) for v in g.upper],
+            out, upper=[nm(v) for v in g.upper],
             lower=[nm(v) for v in g.lower])
-    if isinstance(g, SeparatedGraph):
-        return do_sep(g)
-    raise GraphError(f"cannot rename {type(g).__name__}")
+    return out
 
 
 def _sep_shape(g: SeparatedGraph):
@@ -266,11 +260,12 @@ def _sep_shape(g: SeparatedGraph):
 def same_separated_structure(a, b) -> bool:
     """Equality of separated graphs up to list order (groups compared as a
     set of sets; the stored orders only steer generated names)."""
-    return _sep_shape(to_separated(a)) == _sep_shape(to_separated(b))
+    return _sep_shape(as_separated(a)) == _sep_shape(as_separated(b))
 
 
 def same_bipartite_structure(a: BipartiteSeparatedGraph,
                              b: BipartiteSeparatedGraph) -> bool:
+    a, b = as_bipartite(a), as_bipartite(b)
     return (same_separated_structure(a.base, b.base)
             and a.upper_set == b.upper_set and a.lower_set == b.lower_set)
 
@@ -289,9 +284,9 @@ class BratteliTower:
 
 def bratteli(g: BipartiteSeparatedGraph, depth: int,
              cap: int = 10 ** 6) -> BratteliTower:
+    g = as_bipartite(g)
     if depth < 0:
         raise GraphError("depth must be nonnegative")
-    require_valid(g)
     layers = [g]
     for _ in range(depth):
         top = layers[-1]
@@ -341,8 +336,7 @@ class HSatReport:
 
 
 def is_hsat(g, subset: Iterable[str]) -> HSatReport:
-    s = to_separated(g)
-    require_valid(s)
+    s = as_separated(g)
     h = frozenset(subset)
     unknown = h - s.graph.vertex_set
     if unknown:
@@ -369,8 +363,7 @@ def is_hsat(g, subset: Iterable[str]) -> HSatReport:
 def hsat_closure(g, subset: Iterable[str]) -> frozenset[str]:
     """Least hereditary group-saturated superset: alternate forward closure
     along edges with the saturation rule until nothing changes."""
-    s = to_separated(g)
-    require_valid(s)
+    s = as_separated(g)
     h = set(subset)
     unknown = h - s.graph.vertex_set
     if unknown:
@@ -403,8 +396,7 @@ def enumerate_hsat(g) -> list[frozenset[str]]:
     found with each vertex outside it until nothing new appears.  The
     tests compare it with a scan over all vertex subsets.
     """
-    s = to_separated(g)
-    require_valid(s)
+    s = as_separated(g)
     bottom = hsat_closure(s, ())
     seen = {bottom}
     queue = [bottom]
@@ -423,7 +415,7 @@ def enumerate_hsat(g) -> list[frozenset[str]]:
 def quotient_graph(g, subset: Iterable[str]):
     """Drop a hereditary group-saturated set: keep vertices outside it and
     the edges whose range survives; saturation keeps every group nonempty."""
-    s = to_separated(g)
+    s = as_separated(g)
     h = frozenset(subset)
     rep = is_hsat(s, h)
     if not (rep.hereditary and rep.saturated):

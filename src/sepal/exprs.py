@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import WeightedGraph, require_valid
+from .graphs import WeightedGraph, as_weighted
 from .homs import GenExpr
 from .staralg import GHOST, AlgElement, StarAlgebra
 
@@ -156,7 +156,7 @@ def parse_element(text: str, alg: StarAlgebra) -> AlgElement:
 
 def parse_weighted(text: str, g: WeightedGraph) -> GenExpr:
     """Parse over the generators of a weighted graph: vertices and e.i."""
-    require_valid(g)
+    g = as_weighted(g)
     d = g.graph
     names = list(d.vertices) + list(d.edge_names)
     expr = GenExpr.zero()

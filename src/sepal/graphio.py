@@ -157,17 +157,16 @@ def print_graph(g) -> str:
         lines += [f"edge {e} = {s} -> {r}" for e, s, r in g.graph.edges]
         lines += [f"weight {e} = {w}" for e, w in g.weights]
         return "\n".join(lines) + "\n"
-    if isinstance(g, (SeparatedGraph, BipartiteSeparatedGraph)):
-        s = g.separated
+    if isinstance(g, BipartiteSeparatedGraph):
+        return (print_graph(g.base) + "bipartite upper: " + " ".join(g.upper)
+                + " lower: " + " ".join(g.lower) + "\n")
+    if isinstance(g, SeparatedGraph):
         lines = ["graph separated"]
-        lines += [f"vertex {v}" for v in s.graph.vertices]
-        lines += [f"edge {e} = {a} -> {b}" for e, a, b in s.graph.edges]
-        for v, groups in s.separation:
+        lines += [f"vertex {v}" for v in g.graph.vertices]
+        lines += [f"edge {e} = {a} -> {b}" for e, a, b in g.graph.edges]
+        for v, groups in g.separation:
             body = " ".join("[" + " ".join(grp) + "]" for grp in groups)
             lines.append(f"separation {v} : {body}")
-        if isinstance(g, BipartiteSeparatedGraph):
-            lines.append("bipartite upper: " + " ".join(g.upper)
-                         + " lower: " + " ".join(g.lower))
         return "\n".join(lines) + "\n"
     raise GraphError(f"cannot print {type(g).__name__}")
 
@@ -185,16 +184,15 @@ def graph_payload(g) -> dict:
             "edges": [list(e) for e in g.graph.edges],
             "weights": {e: w for e, w in g.weights},
         }
-    s = g.separated
-    out = {
-        "kind": "separated",
-        "vertices": list(s.graph.vertices),
-        "edges": [list(e) for e in s.graph.edges],
-        "separation": {v: [list(grp) for grp in groups]
-                       for v, groups in s.separation},
-    }
     if isinstance(g, BipartiteSeparatedGraph):
-        out["kind"] = "bipartite"
-        out["upper"] = list(g.upper)
-        out["lower"] = list(g.lower)
-    return out
+        return {**graph_payload(g.base), "kind": "bipartite",
+                "upper": list(g.upper), "lower": list(g.lower)}
+    if isinstance(g, SeparatedGraph):
+        return {
+            "kind": "separated",
+            "vertices": list(g.graph.vertices),
+            "edges": [list(e) for e in g.graph.edges],
+            "separation": {v: [list(grp) for grp in groups]
+                           for v, groups in g.separation},
+        }
+    raise GraphError(f"cannot describe {type(g).__name__}")

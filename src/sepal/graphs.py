@@ -11,10 +11,24 @@ All graph values are immutable after construction and hashable, so they can
 be shared freely between algebra carriers, caches and test fixtures.
 Constructors never raise on semantically malformed data: ``validate``
 returns a list of human-readable violations and ``require_valid`` turns a
-non-empty report into a ``GraphError``.  Validation happens once, where a
-graph enters: every public function calls ``require_valid`` on its graph
-arguments.  Functions that build graphs from a checked input do not
-re-check their outputs; the tests assert that those outputs are valid.
+non-empty report into a ``GraphError``.
+
+Every public function that takes a graph opens with one gate, or hands the
+graph straight to a function that does.  A gate returns the graph in the
+kind the caller needs, after one ``require_valid``, and raises
+``GraphError`` for any other kind:
+
+* ``as_weighted`` accepts a weighted graph;
+* ``as_separated`` accepts a separated graph, and gives the base of a
+  bipartite one;
+* ``as_bipartite`` accepts a bipartite separated graph, and infers the
+  levels of a plain separated one.
+
+So a graph of the wrong kind is a ``GraphError``, never an
+``AttributeError`` from deep inside a construction.  Outside this module a
+kind is tested only to choose between two accepted kinds.  Functions that
+build graphs from a checked input do not re-check their outputs; the tests
+assert that those outputs are valid.
 
 Each graph object is validated once.  Its fields are tuples of names and
 weights, so its report is a pure function of the value; the report is
@@ -43,8 +57,13 @@ class GraphError(ValueError):
 _BAD_CHAR = re.compile(r"[\s#]")
 
 
-def _check_names(kind: str, names: Iterable[str], out: list[str]) -> None:
-    for name, count in Counter(names).items():
+def _check_names(kind: str, names: tuple, out: list[str]) -> None:
+    try:
+        counts = Counter(names).items()
+    except TypeError:  # an unhashable name: count by equality instead
+        counts = [(n, names.count(n)) for i, n in enumerate(names)
+                  if n not in names[:i]]
+    for name, count in counts:
         if count > 1:
             out.append(f"duplicate {kind} name {name!r}")
         if not isinstance(name, str):
@@ -96,10 +115,6 @@ class DirectedGraph:
     def rng(self, edge: str) -> str:
         return self._ends[edge][1]
 
-    @property
-    def separated(self) -> "SeparatedGraph":
-        raise GraphError("plain directed graph carries no separation")
-
     @cached_property
     def _report(self) -> tuple[str, ...]:
         return tuple(_validate_directed(self))
@@ -112,7 +127,9 @@ class SeparatedGraph:
     ``separation`` holds ``(vertex, groups)`` pairs in vertex order, where
     ``groups`` is a tuple of edge-name tuples.  Group order is significant
     (resolutions enumerate group tuples in this order); within a group the
-    names are stored sorted.  Vertices with no outgoing edges carry no entry.
+    names are stored sorted by ``str``, so a name that is not a string
+    reaches ``validate`` instead of failing the sort.  Vertices with no
+    outgoing edges carry no entry.
     """
 
     graph: DirectedGraph
@@ -125,12 +142,13 @@ class SeparatedGraph:
         for v in graph.vertices:
             if v not in separation:
                 continue
-            groups = tuple(tuple(sorted(g)) for g in separation[v])
+            groups = tuple(tuple(sorted(g, key=str)) for g in separation[v])
             if groups:
                 entries.append((v, groups))
         for v in separation:
             if v not in graph.vertex_set:
-                groups = tuple(tuple(sorted(g)) for g in separation[v])
+                groups = tuple(tuple(sorted(g, key=str))
+                               for g in separation[v])
                 entries.append((v, groups))
         return SeparatedGraph(graph, tuple(entries))
 
@@ -171,10 +189,6 @@ class SeparatedGraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return self.graph.edges
-
-    @property
-    def separated(self) -> "SeparatedGraph":
-        return self
 
     @cached_property
     def _report(self) -> tuple[str, ...]:
@@ -243,10 +257,6 @@ class BipartiteSeparatedGraph:
     def edges(self) -> tuple[Edge, ...]:
         return self.base.graph.edges
 
-    @property
-    def separated(self) -> SeparatedGraph:
-        return self.base
-
     @cached_property
     def _report(self) -> tuple[str, ...]:
         return tuple(_validate_bipartite(self))
@@ -266,9 +276,6 @@ class WeightedGraph:
     @cached_property
     def w(self) -> dict[str, int]:
         return dict(self.weights)
-
-    def weight(self, edge: str) -> int:
-        return self.w[edge]
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -295,13 +302,17 @@ _GRAPH_TYPES = get_args(AnyGraph)
 def _validate_directed(g: DirectedGraph) -> list[str]:
     out: list[str] = []
     _check_names("vertex", g.vertices, out)
-    _check_names("edge", (e[0] for e in g.edges), out)
+    _check_names("edge", g.edge_names, out)
+    try:
+        vertex_set, edge_set = g.vertex_set, set(g.edge_names)
+    except TypeError:  # an unhashable name, reported above
+        return out
     for name, s, r in g.edges:
-        if s not in g.vertex_set:
+        if s not in vertex_set:
             out.append(f"edge {name!r} has unknown source {s!r}")
-        if r not in g.vertex_set:
+        if r not in vertex_set:
             out.append(f"edge {name!r} has unknown range {r!r}")
-    for name in g.vertex_set & set(g.edge_names):
+    for name in vertex_set & edge_set:
         out.append(f"name {name!r} used for both a vertex and an edge")
     return out
 
@@ -428,6 +439,7 @@ def classify(g: AnyGraph) -> GraphFlags:
 
 def vertex_weight(g: WeightedGraph, v: str) -> int:
     """Largest weight on the outgoing edges of ``v``; 0 at a sink."""
+    g = as_weighted(g)
     if v not in g.graph.vertex_set:
         raise GraphError(f"unknown vertex {v!r}")
     fiber = g.graph.out_edges.get(v, ())
@@ -436,18 +448,48 @@ def vertex_weight(g: WeightedGraph, v: str) -> int:
 
 def is_vertex_weighted(g: WeightedGraph) -> bool:
     """True when every edge carries the weight of its source vertex."""
+    g = as_weighted(g)
     return all(g.w[e] == vertex_weight(g, s) for e, s, _ in g.graph.edges)
 
 
-def as_bipartite(g: SeparatedGraph | BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
-    """View a separated graph as bipartite, inferring the levels; error if
-    some vertex both emits and receives edges."""
+# ---------------------------------------------------------------------------
+# gates: the one place where a graph's kind and validity are checked
+
+
+def _wrong_kind(want: str, g) -> GraphError:
+    return GraphError(f"expected a {want} graph, got {type(g).__name__}")
+
+
+def as_weighted(g: AnyGraph) -> WeightedGraph:
+    """``g`` itself once it is checked to be a valid weighted graph."""
+    if not isinstance(g, WeightedGraph):
+        raise _wrong_kind("weighted", g)
+    require_valid(g)
+    return g
+
+
+def as_separated(g: AnyGraph) -> SeparatedGraph:
+    """``g`` checked as a separated graph; a bipartite graph gives its base."""
     if isinstance(g, BipartiteSeparatedGraph):
+        g = g.base
+    elif not isinstance(g, SeparatedGraph):
+        raise _wrong_kind("separated", g)
+    require_valid(g)
+    return g
+
+
+def as_bipartite(g: AnyGraph) -> BipartiteSeparatedGraph:
+    """``g`` checked as a bipartite separated graph.  A plain separated
+    graph gets inferred levels (``BipartiteSeparatedGraph.make``); it is an
+    error if some vertex both emits and receives edges."""
+    if isinstance(g, BipartiteSeparatedGraph):
+        require_valid(g)
         return g
     if not isinstance(g, SeparatedGraph):
-        raise GraphError(f"expected a separated graph, got {type(g).__name__}")
+        raise _wrong_kind("separated", g)
     b = BipartiteSeparatedGraph.make(g)
-    report = b._report
-    if report:
-        raise GraphError("not bipartite: " + "; ".join(report))
+    try:
+        require_valid(b)
+    except GraphError as exc:
+        raise GraphError(f"not bipartite: {exc}") from None
     return b

@@ -27,8 +27,10 @@ from .graphs import (
     BipartiteSeparatedGraph,
     GraphError,
     WeightedGraph,
+    as_bipartite,
+    as_separated,
+    as_weighted,
     is_vertex_weighted,
-    require_valid,
     vertex_weight,
 )
 from .staralg import (
@@ -206,8 +208,7 @@ def relations(kind: str, g) -> RelationSet:
     """
     rels: list[tuple[str, GenExpr]] = []
     if kind == "separated":
-        s = cons.to_separated(g)
-        require_valid(s)
+        s = as_separated(g)
         d = s.graph
         _vertex_family(d.vertices, rels)
         for e, src, rng in d.edges:
@@ -227,9 +228,7 @@ def relations(kind: str, g) -> RelationSet:
         return RelationSet(kind, gens, tuple(rels))
 
     if kind in ("weighted", "weighted-l1"):
-        if not isinstance(g, WeightedGraph):
-            raise GraphError("these relations need a weighted graph")
-        require_valid(g)
+        g = as_weighted(g)
         d = g.graph
         _vertex_family(d.vertices, rels)
         slots = [(e, i) for e, _, _ in d.edges for i in range(1, g.w[e] + 1)]
@@ -285,9 +284,7 @@ def relations(kind: str, g) -> RelationSet:
         return RelationSet(kind, gens, tuple(rels))
 
     if kind in ("lv", "lw"):
-        if not isinstance(g, BipartiteSeparatedGraph):
-            raise GraphError("these relations need a bipartite graph")
-        require_valid(g)
+        g = as_bipartite(g)
         d = g.base.graph
         gk = g.group_key
         if kind == "lv":
@@ -363,7 +360,7 @@ def rho_tau(g: BipartiteSeparatedGraph) -> GeneratorMap:
     with a common source, extended across equal groups by r(e,f) = 0 for
     e != f and r(e,e) = r(e), so kernel words can use any pair.
     """
-    require_valid(g)
+    g = as_bipartite(g)
     alg = StarAlgebra(g)
     d = g.base.graph
     images: dict[str, AlgElement] = {}
@@ -424,6 +421,7 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
     vertices stay put, and an edge x goes to the sum of the ghost letters
     a^x(...)* over the complementary tuples.
     """
+    g = as_bipartite(g)
     resolved = cons.one_step_resolution(g)
     alg = StarAlgebra(resolved)
     images: dict[str, AlgElement] = {}
@@ -443,6 +441,16 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
                     total = total + alg.ghost(cons.name_alpha(x, rest))
                 images[x] = total
     return GeneratorMap("phi0", alg, images, {"resolution": resolved})
+
+
+# each map with the relation families it sends to zero; every map and every
+# family takes the same graph argument
+MAPS = {
+    "phi": (phi_vw, ("weighted",)),
+    "phi1": (phi1, ("weighted-l1",)),
+    "phi0": (phi0, ("separated",)),
+    "rho-tau": (rho_tau, ("lv", "lw")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +507,7 @@ def kernel_generator(g: BipartiteSeparatedGraph, e: str, f: str, g2: str,
                      h: str, _map: GeneratorMap | None = None) -> AlgElement:
     """The lower-corner kernel word r(e,f)r(f,g)r(g,h) - r(e,g)r(g,f)r(f,h)
     for four edges with a common source, normalized."""
+    g = as_bipartite(g)
     gmap = _map or rho_tau(g)
     d = g.base.graph
     unknown = [x for x in (e, f, g2, h) if x not in d._ends]
@@ -554,8 +563,7 @@ def ideal_generators(kind: str, g, bound: int | None = None,
     a hereditary group-saturated set.
     """
     if kind == "i0":
-        if not isinstance(g, WeightedGraph):
-            raise GraphError("i0 needs a weighted graph")
+        g = as_weighted(g)
         if not is_vertex_weighted(g):
             raise GraphError("i0 images need a vertex-weighted graph")
         gmap = phi_vw(g)
@@ -580,8 +588,7 @@ def ideal_generators(kind: str, g, bound: int | None = None,
         return out
 
     if kind == "kernel":
-        if not isinstance(g, BipartiteSeparatedGraph):
-            raise GraphError("kernel words need a bipartite graph")
+        g = as_bipartite(g)
         gmap = rho_tau(g)
         d = g.base.graph
         out = []
@@ -604,7 +611,7 @@ def ideal_generators(kind: str, g, bound: int | None = None,
             ends = {_slot(e, i): (d.src(e), d.rng(e)) for e, _, _ in d.edges
                     for i in range(1, g.w[e] + 1)}
         else:
-            s = cons.to_separated(g)
+            s = as_separated(g)
             alg = StarAlgebra(s)
             names = list(s.graph.edge_names)
             gmap = GeneratorMap("identity", alg,
@@ -644,7 +651,7 @@ def ideal_generators(kind: str, g, bound: int | None = None,
         return out
 
     if kind == "hsat":
-        s = cons.to_separated(g)
+        s = as_separated(g)
         if subset is None:
             raise GraphError("hsat generators need a vertex subset")
         rep = cons.is_hsat(s, subset)

@@ -27,7 +27,7 @@ from .graphs import (
     GraphError,
     SeparatedGraph,
     WeightedGraph,
-    require_valid,
+    as_weighted,
     vertex_weight,
 )
 from .homs import GeneratorMap, relations, verify
@@ -111,7 +111,7 @@ def partition_to_weighted(p: MnPartition) -> WeightedGraph:
 
 def weighted_to_partition(g: WeightedGraph) -> MnPartition:
     """Inverse of ``partition_to_weighted`` for single-vertex graphs."""
-    require_valid(g)
+    g = as_weighted(g)
     if len(g.graph.vertices) != 1:
         raise GraphError("partition graphs have a single vertex")
     v = g.graph.vertices[0]

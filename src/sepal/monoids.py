@@ -28,7 +28,7 @@ from operator import add, ge, sub
 from typing import Iterable, Sequence
 
 from . import constructions as cons
-from .graphs import GraphError, WeightedGraph, require_valid, vertex_weight
+from .graphs import GraphError, WeightedGraph, as_separated, vertex_weight
 from .homs import phi1
 from .staralg import AlgElement, normal_form
 
@@ -112,8 +112,7 @@ def parse_vector(text: str, p: MonoidPresentation) -> Vec:
 def monoid_of(g) -> MonoidPresentation:
     """One generator per vertex; each separation group X at v contributes
     the relation a_v = sum of a_{r(e)} over e in X."""
-    s = cons.to_separated(g)
-    require_valid(s)
+    s = as_separated(g)
     d = s.graph
     idx = {v: i for i, v in enumerate(d.vertices)}
     rels = []

@@ -34,8 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .constructions import to_separated
-from .graphs import BipartiteSeparatedGraph, as_bipartite, require_valid
+from .graphs import as_bipartite, as_separated
 
 DIRECT = 0
 GHOST = 1
@@ -58,8 +57,7 @@ class StarAlgebra:
     """
 
     def __init__(self, graph):
-        sep = to_separated(graph)
-        require_valid(sep)
+        sep = as_separated(graph)
         self.graph = graph
         self.sep = sep
         d = sep.graph
@@ -69,11 +67,10 @@ class StarAlgebra:
         self.ends.update(((e, GHOST), (r, s)) for e, s, r in d.edges)
         self.vertex_names = d.vertex_set
         self.group_key = sep.group_key
-        self.members: dict[tuple[str, int], tuple[str, ...]] = {}
+        self.group_of = sep.group_of
         self.chosen: dict[tuple[str, int], str] = {}
         for v, groups in sep.separation:
             for i, grp in enumerate(groups):
-                self.members[(v, i)] = grp
                 self.chosen[(v, i)] = max(grp)
 
     def same_carrier(self, other: "StarAlgebra") -> bool:
@@ -273,7 +270,7 @@ def _rewrite(alg: StarAlgebra, word: Word, i: int) -> list[tuple[Word, int]]:
     # vertex is the source of the redex's first letter
     out = [(_splice(word, i, alg.ends[word[i]][0]), 1)]
     if k1 == DIRECT:
-        for g in alg.members[alg.group_key[n1]]:
+        for g in alg.group_of[n1]:
             if g != n1:
                 out.append((word[:i] + ((g, DIRECT), (g, GHOST))
                             + word[i + 2:], -1))
@@ -354,8 +351,7 @@ def basis_words(alg: StarAlgebra, max_len: int,
 def corner(elem: AlgElement, side: str) -> AlgElement:
     """Restrict to the terms whose words start and end on one level of a
     bipartite separated graph: side ``V`` is upper, ``W`` lower."""
-    g = elem.alg.graph
-    bip = g if isinstance(g, BipartiteSeparatedGraph) else as_bipartite(g)
+    bip = as_bipartite(elem.alg.graph)
     if side == "V":
         level = bip.upper_set
     elif side == "W":

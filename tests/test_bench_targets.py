@@ -51,8 +51,10 @@ def _traced_second(workload: str) -> dict:
 
 def test_traced_run_sees_the_verify_path():
     metrics = _traced_second("verify-small")
+    # the gates check graphs through graphs.require_valid, which the
+    # tracer wraps
     for name in ("homs.evaluate.calls", "homs.relations.relations_built",
-                 "staralg.normal_form.calls"):
+                 "staralg.normal_form.calls", "graphs.validate.calls"):
         assert metrics[name]["value"] > 0, name
 
 
@@ -62,7 +64,8 @@ def test_traced_run_sees_the_resolution_path():
     metrics = _traced_second("resolve-wide")
     for name in ("staralg.mul.calls", "staralg.normal_form.calls",
                  "constructions.one_step_resolution.calls",
-                 "constructions.bratteli.union_edges"):
+                 "constructions.bratteli.union_edges",
+                 "graphs.validate.calls"):
         assert metrics[name]["value"] > 0, name
 
 

@@ -254,6 +254,33 @@ def test_invalid_graph_file_exits_2(tmp_path, argv):
     assert doc["payload"]["message"] == "; ".join(validate(checked))
 
 
+@pytest.mark.parametrize("argv, graph, message", [
+    (("construct", "vw2sep"), "e23.txt",
+     "expected a weighted graph, got BipartiteSeparatedGraph"),
+    (("verify", "phi"), "e23.txt",
+     "expected a weighted graph, got BipartiteSeparatedGraph"),
+    (("verify", "phi0"), "wmax22.txt",
+     "expected a separated graph, got WeightedGraph"),
+    (("hsat", "check"), "wmax22.txt",
+     "expected a separated graph, got WeightedGraph"),
+    (("ideal-gens", "--kind", "i0"), "e23.txt",
+     "expected a weighted graph, got BipartiteSeparatedGraph"),
+    (("construct", "resolve"), None,
+     "not bipartite: edge 'e' ends at upper vertex 'v'"),
+], ids=["vw2sep", "phi", "phi0", "hsat", "i0", "resolve"])
+def test_wrong_kind_is_a_one_line_error(tmp_path, fixture_dir, argv, graph,
+                                        message):
+    if graph is None:
+        path = tmp_path / "loop.txt"
+        path.write_text("graph separated\nvertex v\nedge e = v -> v\n"
+                        "separation v : [e]\n")
+    else:
+        path = fixture_dir / graph
+    code, text = run(*argv, "--graph", str(path))
+    assert code == 2
+    assert text == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("groups, violation", MALFORMED_SEPARATIONS,
                          ids=["empty_group", "repeated_edge"])
 def test_malformed_separation_is_rejected(tmp_path, groups, violation):

@@ -13,6 +13,7 @@ from sepal.graphs import (
     GraphError,
     SeparatedGraph,
     WeightedGraph,
+    as_separated,
     validate,
 )
 from sepal.homs import phi0
@@ -22,7 +23,7 @@ from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
 def hsat_by_scan(g) -> list[frozenset[str]]:
     """Oracle for ``enumerate_hsat``: test every vertex subset with
     ``is_hsat``, smallest first."""
-    s = cons.to_separated(g)
+    s = as_separated(g)
     found = []
     for bits in itertools.product((False, True), repeat=len(s.vertices)):
         h = frozenset(v for v, b in zip(s.vertices, bits) if b)

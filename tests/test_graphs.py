@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepal import graphs
+from sepal import constructions as cons
+from sepal import exprs, graphio, graphs, homs, mnlab, monoids
 from sepal.constructions import enumerate_hsat, separated_of_weighted
 from sepal.graphs import (
     BipartiteSeparatedGraph,
@@ -10,6 +11,8 @@ from sepal.graphs import (
     SeparatedGraph,
     WeightedGraph,
     as_bipartite,
+    as_separated,
+    as_weighted,
     classify,
     is_vertex_weighted,
     require_valid,
@@ -282,3 +285,155 @@ def test_as_bipartite_keeps_the_report_it_computes(monkeypatch):
     StarAlgebra(b)
     require_valid(b)
     assert checked == [b, s]
+
+
+def test_unhashable_name_is_a_violation():
+    assert validate(DirectedGraph.make((["a"],), [])) == [
+        "vertex name ['a'] is not a string"]
+    d = DirectedGraph.make(("v", ["a"], ["a"]), [({}, "v", "v")])
+    assert validate(d) == ["duplicate vertex name ['a']",
+                           "vertex name ['a'] is not a string",
+                           "edge name {} is not a string"]
+    with pytest.raises(GraphError, match="is not a string"):
+        require_valid(d)
+
+
+def test_group_mixing_names_and_non_names_is_reported():
+    d = DirectedGraph.make(("v", "w"), [("e", "v", "w"), (1, "v", "w")])
+    s = SeparatedGraph.with_trivial_separation(d)
+    assert s.sep["v"] == ((1, "e"),)
+    assert validate(s) == ["edge name 1 is not a string"]
+    # groups of names keep their sorted order
+    s = SeparatedGraph.make(d, {"v": [["f2", "e10", "e1"]]})
+    assert s.sep["v"] == (("e1", "e10", "f2"),)
+
+
+# --- gates: one kind check and one validation per call -----------------------
+
+def test_gates_validate_once_and_hand_back_the_kind(monkeypatch, e23, wmax22):
+    calls = []
+    real = graphs.require_valid
+    monkeypatch.setattr(graphs, "require_valid",
+                        lambda g: calls.append(g) or real(g))
+    assert as_weighted(wmax22) is wmax22
+    assert as_separated(e23) is e23.base
+    assert as_separated(e23.base) is e23.base
+    assert as_bipartite(e23) is e23
+    inferred = as_bipartite(e23.base)
+    assert (inferred.upper, inferred.lower) == (e23.upper, e23.lower)
+    assert calls == [wmax22, e23.base, e23.base, e23, inferred]
+
+
+@pytest.mark.parametrize("gate, want", [(as_weighted, "weighted"),
+                                        (as_separated, "separated"),
+                                        (as_bipartite, "separated")])
+def test_gates_name_the_wrong_kind(gate, want):
+    d = triangle()
+    with pytest.raises(GraphError) as exc:
+        gate(d)
+    assert str(exc.value) == f"expected a {want} graph, got DirectedGraph"
+
+
+def test_gates_carry_the_full_report():
+    bad = WeightedGraph.make(triangle(), {"e": 0})
+    with pytest.raises(GraphError) as exc:
+        as_weighted(bad)
+    assert str(exc.value) == "; ".join(validate(bad))
+    with pytest.raises(GraphError) as exc:
+        as_bipartite(SeparatedGraph.with_trivial_separation(triangle()))
+    assert str(exc.value) == "not bipartite: edge 'e' ends at upper vertex 'b'"
+
+
+# Every public entry point that takes a graph, called with five kinds of
+# graph: each call returns or raises GraphError, never an AttributeError
+# from inside a construction.
+W = ("weighted",)
+S = ("bipartite", "separated", "loop")
+B = ("bipartite", "separated")  # the loop has no levels to infer
+
+
+def _edge4(g):
+    return [g.edges[0][0]] * 4
+
+
+ENTRY_POINTS = [
+    ("classify", classify, W + S + ("directed",)),
+    ("vertex_weight", lambda g: vertex_weight(g, g.vertices[0]), W),
+    ("is_vertex_weighted", is_vertex_weighted, W),
+    ("weighted_completion", cons.weighted_completion, W),
+    ("separated_of_vertex_weighted", cons.separated_of_vertex_weighted, W),
+    ("separated_of_weighted", cons.separated_of_weighted, W),
+    ("one_step_resolution", cons.one_step_resolution, B),
+    ("bratteli", lambda g: cons.bratteli(g, 1), B),
+    ("thm310_hidden_vertices", cons.thm310_hidden_vertices, W),
+    ("thm310_rename", cons.thm310_rename, W),
+    ("rename_graph", lambda g: cons.rename_graph(g, {}), S),
+    ("same_separated_structure",
+     lambda g: cons.same_separated_structure(g, g), S),
+    ("same_bipartite_structure",
+     lambda g: cons.same_bipartite_structure(g, g), B),
+    ("is_hsat", lambda g: cons.is_hsat(g, ()), S),
+    ("hsat_closure", lambda g: cons.hsat_closure(g, ()), S),
+    ("enumerate_hsat", cons.enumerate_hsat, S),
+    ("quotient_graph", lambda g: cons.quotient_graph(g, ()), S),
+    ("StarAlgebra", StarAlgebra, S),
+    ("relations-separated", lambda g: homs.relations("separated", g), S),
+    ("relations-weighted", lambda g: homs.relations("weighted", g), W),
+    ("relations-weighted-l1", lambda g: homs.relations("weighted-l1", g), W),
+    ("relations-lv", lambda g: homs.relations("lv", g), B),
+    ("relations-lw", lambda g: homs.relations("lw", g), B),
+    ("phi_vw", homs.phi_vw, W),
+    ("phi1", homs.phi1, W),
+    ("phi0", homs.phi0, B),
+    ("rho_tau", homs.rho_tau, B),
+    ("kernel_generator", lambda g: homs.kernel_generator(g, *_edge4(g)), B),
+    ("ideal_generators-i0", lambda g: homs.ideal_generators("i0", g), W),
+    ("ideal_generators-kernel",
+     lambda g: homs.ideal_generators("kernel", g), B),
+    ("ideal_generators-commutator",
+     lambda g: homs.ideal_generators("commutator", g, bound=1), S + W),
+    ("ideal_generators-hsat",
+     lambda g: homs.ideal_generators("hsat", g, subset=()), S),
+    ("parse_weighted", lambda g: exprs.parse_weighted(g.vertices[0], g), W),
+    ("monoid_of", monoids.monoid_of, S),
+    ("m1_of", monoids.m1_of, W),
+    ("order_ideals", monoids.order_ideals, S + W),
+    ("gamma_images", monoids.gamma_images, W),
+    ("weighted_to_partition", mnlab.weighted_to_partition, W),
+    ("print_graph", graphio.print_graph, S + W),
+    ("graph_payload", graphio.graph_payload, S + W),
+]
+
+
+@pytest.fixture(scope="module")
+def five_kinds(e23, wmax22):
+    return {
+        "bipartite": e23,
+        "separated": e23.base,
+        "weighted": wmax22,
+        "directed": wmax22.graph,
+        "loop": SeparatedGraph.with_trivial_separation(
+            DirectedGraph.make(("v",), [("e", "v", "v")])),
+    }
+
+
+@pytest.mark.parametrize("call, accepts", [e[1:] for e in ENTRY_POINTS],
+                         ids=[e[0] for e in ENTRY_POINTS])
+def test_entry_point_takes_its_kinds_and_refuses_the_rest(five_kinds, call,
+                                                          accepts):
+    for kind, g in five_kinds.items():
+        if kind in accepts:
+            call(g)
+        else:
+            with pytest.raises(GraphError):
+                call(g)
+
+
+def test_inferred_levels_give_the_same_results(e23):
+    for call in (cons.one_step_resolution, lambda g: cons.bratteli(g, 2),
+                 lambda g: homs.relations("lv", g),
+                 lambda g: homs.relations("lw", g),
+                 lambda g: homs.phi0(g).images,
+                 lambda g: homs.rho_tau(g).images,
+                 lambda g: homs.ideal_generators("kernel", g)):
+        assert call(e23.base) == call(e23)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepal import constructions as cons
-from sepal.graphs import GraphError, is_vertex_weighted
+from sepal.graphs import (
+    DirectedGraph,
+    GraphError,
+    SeparatedGraph,
+    is_vertex_weighted,
+)
 from sepal.homs import (
     GenExpr,
     GeneratorMap,
@@ -372,8 +377,11 @@ def test_ideal_kind_guards(e23):
         ideal_generators("commutator", e23)
     with pytest.raises(GraphError):
         ideal_generators("mystery", e23)
-    with pytest.raises(GraphError):
-        ideal_generators("kernel", cons.to_separated(e23))
+    # a plain separated graph gets inferred levels, which a loop cannot have
+    loop = SeparatedGraph.with_trivial_separation(
+        DirectedGraph.make(("v",), [("e", "v", "v")]))
+    with pytest.raises(GraphError, match="not bipartite"):
+        ideal_generators("kernel", loop)
 
 
 # --- image separation ----------------------------------------------------------------
