@@ -133,35 +133,31 @@ def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
 def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
     """Resolve each upper fiber: new lower vertices are the choice tuples
     across the groups of an upper vertex, and each old edge x spawns the
-    group of edges a^x(...) out of r(x), one per complementary tuple."""
+    group of edges a^x(...) out of r(x), one per complementary tuple.
+
+    The one place that lays out a resolution: the old lower vertices form
+    the new upper level, and group j at each of them, w, is the group
+    spawned by ``in_edges(w)[j]``.  ``homs.phi0`` relies on this order.
+    """
     g = as_bipartite(g)
     if not g.is_proper:
         raise GraphError("one-step resolution needs a proper bipartite graph")
     d = g.base.graph
-    new_upper = tuple(g.lower)
     new_lower: list[str] = []
     edges: list[tuple[str, str, str]] = []
+    spawned: dict[str, list[str]] = {x: [] for x in d.edge_names}
     for u in g.upper:
-        groups = g.sep[u]
-        for tup in itertools.product(*groups):
+        for tup in itertools.product(*g.sep[u]):
             tv = name_tuple_vertex(tup)
             new_lower.append(tv)
             for i, x in enumerate(tup):
-                rest = tup[:i] + tup[i + 1:]
-                edges.append((name_alpha(x, rest), d.rng(x), tv))
-    sep: dict[str, list[list[str]]] = {}
-    for w in new_upper:
-        sep[w] = []
-        for x in d.in_edges.get(w, ()):
-            u = d.src(x)
-            groups = g.sep[u]
-            i = next(k for k, grp in enumerate(groups) if x in grp)
-            others = groups[:i] + groups[i + 1:]
-            sep[w].append([name_alpha(x, rest)
-                           for rest in itertools.product(*others)])
-    graph = DirectedGraph.make(new_upper + tuple(new_lower), edges)
+                alpha = name_alpha(x, tup[:i] + tup[i + 1:])
+                spawned[x].append(alpha)
+                edges.append((alpha, d.rng(x), tv))
+    sep = {w: [spawned[x] for x in d.in_edges[w]] for w in g.lower}
+    graph = DirectedGraph.make(g.lower + tuple(new_lower), edges)
     return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
-                                        upper=new_upper, lower=tuple(new_lower))
+                                        upper=g.lower, lower=tuple(new_lower))
 
 
 def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
@@ -300,22 +296,17 @@ def bratteli(g: BipartiteSeparatedGraph, depth: int,
                 raise ResourceLimitError(
                     f"next layer would exceed {cap} edges")
         layers.append(one_step_resolution(top))
+    # layer k+1's upper level is layer k's lower level: each layer adds
+    # only new lower vertices, edges and groups to the union
+    vertices, edges, sep = list(g.vertices), [], {}
     unions = []
-    seen_vertices: list[str] = []
-    seen_edges: list[tuple[str, str, str]] = []
-    seen_sep: dict[str, list[list[str]]] = {}
-    known = set()
-    for layer in layers:
-        for v in layer.vertices:
-            if v not in known:
-                known.add(v)
-                seen_vertices.append(v)
-        seen_edges += list(layer.edges)
-        for v, groups in layer.separation:
-            seen_sep[v] = [list(grp) for grp in groups]
+    for k, layer in enumerate(layers):
+        if k:
+            vertices += layer.lower
+        edges += layer.edges
+        sep.update(layer.separation)
         unions.append(SeparatedGraph.make(
-            DirectedGraph.make(list(seen_vertices), list(seen_edges)),
-            {v: [list(g2) for g2 in gs] for v, gs in seen_sep.items()}))
+            DirectedGraph.make(vertices, edges), sep))
     return BratteliTower(tuple(layers), tuple(unions))
 
 

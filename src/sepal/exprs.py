@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import WeightedGraph, as_weighted
-from .homs import GenExpr
+from .homs import GenExpr, slot_name
 from .staralg import GHOST, AlgElement, StarAlgebra
 
 _IDENT = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -175,7 +175,7 @@ def parse_weighted(text: str, g: WeightedGraph) -> GenExpr:
                 raise ExprError(
                     f"index {index} out of range for {name!r} "
                     f"(weight {g.w[name]})")
-            word.append((f"{name}.{index}", starred))
+            word.append((slot_name(name, index), starred))
         expr = expr + GenExpr({tuple(word): coeff})
     return expr
 

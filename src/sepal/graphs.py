@@ -138,19 +138,19 @@ class SeparatedGraph:
     @staticmethod
     def make(graph: DirectedGraph,
              separation: Mapping[str, Iterable[Iterable[str]]]) -> "SeparatedGraph":
-        entries = []
-        for v in graph.vertices:
-            if v not in separation:
-                continue
-            groups = tuple(tuple(sorted(g, key=str)) for g in separation[v])
-            if groups:
-                entries.append((v, groups))
-        for v in separation:
-            if v not in graph.vertex_set:
-                groups = tuple(tuple(sorted(g, key=str))
-                               for g in separation[v])
-                entries.append((v, groups))
-        return SeparatedGraph(graph, tuple(entries))
+        try:
+            vertices, keys = graph.vertex_set, separation
+        except TypeError:  # a name validate reports: compare by equality
+            vertices, keys = graph.vertices, tuple(separation)
+
+        def entry(v):
+            return v, tuple(tuple(sorted(g, key=str)) for g in separation[v])
+        # a known vertex with no groups gets no entry; an unknown one keeps
+        # its entry, for validate to report
+        known = [entry(v) for v in graph.vertices if v in keys]
+        unknown = [entry(v) for v in separation if v not in vertices]
+        return SeparatedGraph(graph, tuple(
+            [(v, groups) for v, groups in known if groups] + unknown))
 
     @staticmethod
     def with_trivial_separation(graph: DirectedGraph) -> "SeparatedGraph":
@@ -208,8 +208,12 @@ class BipartiteSeparatedGraph:
         go up and all others go down."""
         g = base.graph
         if upper is None and lower is None:
-            upper = tuple(v for v in g.vertices if g.out_edges.get(v))
-            lower = tuple(v for v in g.vertices if not g.out_edges.get(v))
+            try:
+                emits = [bool(g.out_edges[v]) for v in g.vertices]
+            except TypeError:  # a name validate reports: all go down
+                emits = [False] * len(g.vertices)
+            upper = tuple(v for v, up in zip(g.vertices, emits) if up)
+            lower = tuple(v for v, up in zip(g.vertices, emits) if not up)
         elif upper is None or lower is None:
             raise GraphError("give both levels or neither")
         return BipartiteSeparatedGraph(base, tuple(upper), tuple(lower))
@@ -269,8 +273,12 @@ class WeightedGraph:
 
     @staticmethod
     def make(graph: DirectedGraph, weights: Mapping[str, int]) -> "WeightedGraph":
-        listed = tuple((e, weights[e]) for e in graph.edge_names if e in weights)
-        extra = tuple((e, w) for e, w in weights.items() if e not in graph._ends)
+        try:
+            edges, keys = graph._ends, weights
+        except TypeError:  # a name validate reports: compare by equality
+            edges, keys = graph.edge_names, tuple(weights)
+        listed = tuple((e, weights[e]) for e in graph.edge_names if e in keys)
+        extra = tuple((e, w) for e, w in weights.items() if e not in edges)
         return WeightedGraph(graph, listed + extra)
 
     @cached_property
@@ -299,6 +307,17 @@ _GRAPH_TYPES = get_args(AnyGraph)
 # validation
 
 
+def _names_hash(g: DirectedGraph) -> bool:
+    """Whether every vertex and edge name of ``g`` can be hashed.  The
+    directed report flags one that cannot; the checks built on that report
+    hash names, so they stop there."""
+    try:
+        hash((g.vertices, g.edge_names))
+    except TypeError:
+        return False
+    return True
+
+
 def _validate_directed(g: DirectedGraph) -> list[str]:
     out: list[str] = []
     _check_names("vertex", g.vertices, out)
@@ -319,6 +338,8 @@ def _validate_directed(g: DirectedGraph) -> list[str]:
 
 def _validate_separated(g: SeparatedGraph) -> list[str]:
     out = list(g.graph._report)
+    if not _names_hash(g.graph):
+        return out
     known = set(g.graph.edge_names)
     for v, groups in g.separation:
         if v not in g.graph.vertex_set:
@@ -351,6 +372,8 @@ def _validate_separated(g: SeparatedGraph) -> list[str]:
 
 def _validate_bipartite(g: BipartiteSeparatedGraph) -> list[str]:
     out = list(g.base._report)
+    if not _names_hash(g.graph):
+        return out
     both = g.upper_set & g.lower_set
     for v in sorted(both, key=str):
         out.append(f"vertex {v!r} appears on both levels")
@@ -370,6 +393,8 @@ def _validate_bipartite(g: BipartiteSeparatedGraph) -> list[str]:
 
 def _validate_weighted(g: WeightedGraph) -> list[str]:
     out = list(g.graph._report)
+    if not _names_hash(g.graph):
+        return out
     names = set(g.graph.edge_names)
     for e, w in g.weights:
         if e not in names:

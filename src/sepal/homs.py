@@ -38,6 +38,7 @@ from .staralg import (
     AlgElement,
     Coeff,
     GHOST,
+    VERTEX,
     StarAlgebra,
     _collect,
     as_coeff,
@@ -147,7 +148,8 @@ class VerifyReport:
 # relation families
 
 
-def _slot(e: str, i: int) -> str:
+def slot_name(e: str, i: int) -> str:
+    """The generator e.i of a weighted graph: slot i of edge e."""
     return f"{e}.{i}"
 
 
@@ -233,10 +235,10 @@ def relations(kind: str, g) -> RelationSet:
         _vertex_family(d.vertices, rels)
         slots = [(e, i) for e, _, _ in d.edges for i in range(1, g.w[e] + 1)]
         # x[e, i] is the letter e.i, y[e, i] the letter (e.i)*
-        x = {(e, i): (_slot(e, i), False) for e, i in slots}
-        y = {(e, i): (_slot(e, i), True) for e, i in slots}
+        x = {(e, i): (slot_name(e, i), False) for e, i in slots}
+        y = {(e, i): (slot_name(e, i), True) for e, i in slots}
         for e, i in slots:
-            xi = _slot(e, i)
+            xi = slot_name(e, i)
             rels.append((f"src:{e}.{i}", _prod(d.src(e), xi, xi)))
             rels.append((f"rng:{e}.{i}", _prod(xi, d.rng(e), xi)))
         regular = [v for v in d.vertices if d.out_edges.get(v)]
@@ -280,7 +282,7 @@ def relations(kind: str, g) -> RelationSet:
             for e, _, rng in d.edges:
                 words = [(y[e, i], x[e, i]) for i in range(1, g.w[e] + 1)]
                 rels.append((f"full:{e}", _sum(words, rng)))
-        gens = d.vertices + tuple(_slot(e, i) for e, i in slots)
+        gens = d.vertices + tuple(slot_name(e, i) for e, i in slots)
         return RelationSet(kind, gens, tuple(rels))
 
     if kind in ("lv", "lw"):
@@ -393,8 +395,8 @@ def phi_vw(g: WeightedGraph) -> GeneratorMap:
         images[v] = alg.vertex(cons.name_lower_copy(v))
     for e, s, _ in g.graph.edges:
         for i in range(1, g.w[e] + 1):
-            images[_slot(e, i)] = (alg.ghost(cons.name_h(s, i))
-                                   * alg.edge(cons.name_tilde(e)))
+            images[slot_name(e, i)] = (alg.ghost(cons.name_h(s, i))
+                                       * alg.edge(cons.name_tilde(e)))
     return GeneratorMap("phi", alg, images, {"companion": double})
 
 
@@ -408,8 +410,8 @@ def phi1(g: WeightedGraph) -> GeneratorMap:
         images[v] = alg.vertex(v)
     for e, _, _ in g.graph.edges:
         for i in range(1, g.w[e] + 1):
-            images[_slot(e, i)] = (alg.edge(cons.name_slot_edge(i, e))
-                                   * alg.ghost(cons.name_edge_slot(e, i)))
+            images[slot_name(e, i)] = (alg.edge(cons.name_slot_edge(i, e))
+                                       * alg.ghost(cons.name_edge_slot(e, i)))
     return GeneratorMap("phi1", alg, images, {"companion": companion})
 
 
@@ -419,7 +421,9 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
 
     Upper vertices go to the sum of their choice-tuple vertices, lower
     vertices stay put, and an edge x goes to the sum of the ghost letters
-    a^x(...)* over the complementary tuples.
+    a^x(...)* over the complementary tuples.  Those are the edges of the
+    group x spawned in the resolution: at each lower vertex w, group j of
+    the resolution is the one spawned by ``in_edges(w)[j]``.
     """
     g = as_bipartite(g)
     resolved = cons.one_step_resolution(g)
@@ -427,19 +431,12 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
     images: dict[str, AlgElement] = {}
     for w in g.lower:
         images[w] = alg.vertex(w)
+        for x, grp in zip(g.graph.in_edges[w], resolved.sep[w]):
+            images[x] = AlgElement(alg, {((a, GHOST),): 1 for a in grp})
     for u in g.upper:
-        groups = g.sep[u]
-        total = alg.zero()
-        for tup in itertools.product(*groups):
-            total = total + alg.vertex(cons.name_tuple_vertex(tup))
-        images[u] = total
-        for i, grp in enumerate(groups):
-            others = groups[:i] + groups[i + 1:]
-            for x in grp:
-                total = alg.zero()
-                for rest in itertools.product(*others):
-                    total = total + alg.ghost(cons.name_alpha(x, rest))
-                images[x] = total
+        images[u] = AlgElement(alg, {
+            ((cons.name_tuple_vertex(tup), VERTEX),): 1
+            for tup in itertools.product(*g.sep[u])})
     return GeneratorMap("phi0", alg, images, {"resolution": resolved})
 
 
@@ -573,8 +570,8 @@ def ideal_generators(kind: str, g, bound: int | None = None,
             for i in range(1, g.w[e] + 1):
                 for j in range(1, g.w[e] + 1):
                     if i != j:
-                        el = normal_form(gmap.images[_slot(e, i)]
-                                         * gmap.images[_slot(e, j)].star())
+                        el = normal_form(gmap.images[slot_name(e, i)]
+                                         * gmap.images[slot_name(e, j)].star())
                         out.append((f"i0:offdiag:{e}.{i}.{j}", el))
         for v in d.vertices:
             for e in d.out_edges.get(v, ()):
@@ -582,8 +579,8 @@ def ideal_generators(kind: str, g, bound: int | None = None,
                     if e == f:
                         continue
                     for i in range(1, min(g.w[e], g.w[f]) + 1):
-                        el = normal_form(gmap.images[_slot(e, i)].star()
-                                         * gmap.images[_slot(f, i)])
+                        el = normal_form(gmap.images[slot_name(e, i)].star()
+                                         * gmap.images[slot_name(f, i)])
                         out.append((f"i0:offedge:{e}.{f}.{i}", el))
         return out
 
@@ -606,10 +603,10 @@ def ideal_generators(kind: str, g, bound: int | None = None,
         if isinstance(g, WeightedGraph):
             gmap = phi1(g)
             d = g.graph
-            names = [_slot(e, i) for e, _, _ in d.edges
+            names = [slot_name(e, i) for e, _, _ in d.edges
                      for i in range(1, g.w[e] + 1)]
-            ends = {_slot(e, i): (d.src(e), d.rng(e)) for e, _, _ in d.edges
-                    for i in range(1, g.w[e] + 1)}
+            ends = {slot_name(e, i): (d.src(e), d.rng(e))
+                    for e, _, _ in d.edges for i in range(1, g.w[e] + 1)}
         else:
             s = as_separated(g)
             alg = StarAlgebra(s)

@@ -30,7 +30,7 @@ from .graphs import (
     as_weighted,
     vertex_weight,
 )
-from .homs import GeneratorMap, relations, verify
+from .homs import GeneratorMap, relations, slot_name, verify
 from .staralg import StarAlgebra
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -140,7 +140,7 @@ def generator_matrix(p: MnPartition) -> tuple[tuple[str | None, ...], ...]:
     """Indexed edge generators arranged the same way: entry (i, j) is
     e{j}.{i} when slot i exists on edge j."""
     return tuple(
-        tuple(f"e{j}.{i}" if j <= p.parts[i - 1] else None
+        tuple(slot_name(f"e{j}", i) if j <= p.parts[i - 1] else None
               for j in range(1, p.n + 1))
         for i in range(1, p.m + 1))
 
@@ -223,11 +223,11 @@ def example_58_map(m: int, n: int) -> GeneratorMap:
     for j in range(1, n + 1):
         for i in range(1, m + 1):
             if i == j and i <= m - 1:
-                images[f"e{j}.{i}"] = alg.vertex("v")
+                images[slot_name(f"e{j}", i)] = alg.vertex("v")
             elif i == m and j >= m:
-                images[f"e{j}.{i}"] = alg.edge(f"x{j - m + 1}")
+                images[slot_name(f"e{j}", i)] = alg.edge(f"x{j - m + 1}")
             else:
-                images[f"e{j}.{i}"] = alg.zero()
+                images[slot_name(f"e{j}", i)] = alg.zero()
     return GeneratorMap("example58", alg, images,
                         {"rose_loops": n - m + 1})
 

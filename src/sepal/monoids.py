@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from . import constructions as cons
 from .graphs import GraphError, WeightedGraph, as_separated, vertex_weight
-from .homs import phi1
+from .homs import phi1, slot_name
 from .staralg import AlgElement, normal_form
 
 Vec = tuple[int, ...]
@@ -551,7 +551,7 @@ def gamma_images(g: WeightedGraph) -> GammaReport:
     checks: list[tuple[str, bool]] = []
     for e, _, _ in d.edges:
         for i in range(1, g.w[e] + 1):
-            x = gmap.images[f"{e}.{i}"]
+            x = gmap.images[slot_name(e, i)]
             p = normal_form(x * x.star())
             q = normal_form(x.star() * x)
             source_side[(e, i)] = p

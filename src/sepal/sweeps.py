@@ -47,14 +47,14 @@ def weighted_sweep(max_vertices: int = 2, max_edges: int = 3,
     return out
 
 
-def emn_sweep(limit: int = 3) -> list[BipartiteSeparatedGraph]:
-    return [build_emn(m, n)
-            for n in range(1, limit + 1) for m in range(1, n + 1)]
+def emn_sweep() -> list[BipartiteSeparatedGraph]:
+    """E(m, n) for 1 <= m <= n <= 3."""
+    return [build_emn(m, n) for n in range(1, 4) for m in range(1, n + 1)]
 
 
-def bipartite_sweep(limit: int = 3, **kw) -> list[BipartiteSeparatedGraph]:
-    out = list(emn_sweep(limit))
-    for g in weighted_sweep(**kw):
+def bipartite_sweep() -> list[BipartiteSeparatedGraph]:
+    out = emn_sweep()
+    for g in weighted_sweep():
         if is_vertex_weighted(g):
             out.append(separated_of_vertex_weighted(g))
     return out

@@ -60,12 +60,15 @@ def test_traced_run_sees_the_verify_path():
 
 def test_traced_run_sees_the_resolution_path():
     # staralg.mul.pairs is |a|·|b| computed from the operands by the
-    # tracer, not pairs the product tried, so it is not checked here
+    # tracer, not pairs the product tried, so it is not checked here.
+    # phi0 must build its resolution through the wrapped module attribute,
+    # or the edges it resolves would not be counted
     metrics = _traced_second("resolve-wide")
     for name in ("staralg.mul.calls", "staralg.normal_form.calls",
                  "constructions.one_step_resolution.calls",
+                 "constructions.one_step_resolution.edges_out",
                  "constructions.bratteli.union_edges",
-                 "graphs.validate.calls"):
+                 "homs.maps.calls", "graphs.validate.calls"):
         assert metrics[name]["value"] > 0, name
 
 

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepal import constructions as cons
 from sepal.graphs import (
@@ -17,6 +17,7 @@ from sepal.graphs import (
     validate,
 )
 from sepal.homs import phi0
+from sepal.staralg import StarAlgebra
 from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
 
 
@@ -295,6 +296,96 @@ def test_bratteli_layer_counts(e23):
     # union grows by exactly the new layer's lower vertices
     assert set(tower.unions[1].graph.vertices) == \
         set(tower.unions[0].graph.vertices) | set(tower.layers[1].lower)
+
+
+def spawned_by_names(g: BipartiteSeparatedGraph, x: str) -> list[str]:
+    """The names a^x(rest) of the group that edge x spawns, rest running
+    over the tuples of the other groups at s(x)."""
+    groups = g.sep[g.graph.src(x)]
+    i = next(k for k, grp in enumerate(groups) if x in grp)
+    others = groups[:i] + groups[i + 1:]
+    return [cons.name_alpha(x, rest) for rest in itertools.product(*others)]
+
+
+def phi0_by_names(g: BipartiteSeparatedGraph, alg: StarAlgebra) -> dict:
+    """Oracle for ``phi0``: every image derived from the generated names
+    alone, as a sum built one letter at a time."""
+    images = {w: alg.vertex(w) for w in g.lower}
+    for u in g.upper:
+        total = alg.zero()
+        for tup in itertools.product(*g.sep[u]):
+            total = total + alg.vertex(cons.name_tuple_vertex(tup))
+        images[u] = total
+    for x in g.graph.edge_names:
+        total = alg.zero()
+        for name in spawned_by_names(g, x):
+            total = total + alg.ghost(name)
+        images[x] = total
+    return images
+
+
+def unions_by_dedupe(layers) -> list[SeparatedGraph]:
+    """Oracle for the unions of ``bratteli``: glue the layers one by one,
+    keeping each vertex the first time it is seen."""
+    vertices, edges, sep, known = [], [], {}, set()
+    unions = []
+    for layer in layers:
+        for v in layer.vertices:
+            if v not in known:
+                known.add(v)
+                vertices.append(v)
+        edges += list(layer.edges)
+        for v, groups in layer.separation:
+            sep[v] = [list(grp) for grp in groups]
+        unions.append(SeparatedGraph.make(
+            DirectedGraph.make(list(vertices), list(edges)),
+            {v: [list(grp) for grp in gs] for v, gs in sep.items()}))
+    return unions
+
+
+def _tower_bases() -> list[BipartiteSeparatedGraph]:
+    out = emn_sweep()
+    for g in weighted_sweep(2, 3, 2):
+        out.append(cons.separated_of_weighted(g))
+        out.append(cons.separated_of_vertex_weighted(
+            cons.weighted_completion(g)))
+    return out
+
+
+# the upper vertex v sits between the two lower ones in the vertex order
+MIXED_LEVELS = BipartiteSeparatedGraph.make(SeparatedGraph.make(
+    DirectedGraph.make(("w", "v", "x"), [("e", "v", "w"), ("f", "v", "x"),
+                                         ("g", "v", "w")]),
+    {"v": [["e", "f"], ["g"]]}), upper=("v",), lower=("w", "x"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_tower_bases()), st.integers(0, 2))
+@example(MIXED_LEVELS, 2)
+def test_resolution_layout_matches_the_names(g, depth):
+    tower = cons.bratteli(g, depth)
+    for low, high in zip(tower.layers, tower.layers[1:]):
+        # group j at w is the group spawned by the j-th edge into w
+        for w in low.lower:
+            assert [set(grp) for grp in high.sep[w]] == [
+                set(spawned_by_names(low, x)) for x in low.graph.in_edges[w]]
+        gmap = phi0(low)
+        assert gmap.images == phi0_by_names(low, gmap.target)
+    for union, want in zip(tower.unions, unions_by_dedupe(tower.layers),
+                           strict=True):
+        assert union == want
+
+
+def test_each_resolved_edge_is_named_once(monkeypatch, e23):
+    named = []
+    real = cons.name_alpha
+    monkeypatch.setattr(cons, "name_alpha",
+                        lambda x, rest: named.append(x) or real(x, rest))
+    tower = cons.bratteli(e23, 3)
+    assert len(named) == sum(len(l.edges) for l in tower.layers[1:]) == 10740
+    named.clear()
+    gmap = phi0(tower.layers[1])
+    assert len(named) == len(gmap.meta["resolution"].edges) == 360
 
 
 def test_bratteli_cap(e23):

@@ -298,6 +298,42 @@ def test_unhashable_name_is_a_violation():
         require_valid(d)
 
 
+UNHASHABLE = DirectedGraph.make((["a"],), [])
+UNHASHABLE_REPORT = ["vertex name ['a'] is not a string"]
+
+
+def test_constructors_take_an_unhashable_name():
+    s = SeparatedGraph.make(UNHASHABLE, {})
+    assert s.separation == ()
+    assert validate(s) == UNHASHABLE_REPORT
+    b = BipartiteSeparatedGraph.make(s)
+    assert (b.upper, b.lower) == ((), (["a"],))
+    edge = DirectedGraph.make(("v",), [(["e"], "v", "v")])
+    w = WeightedGraph.make(edge, {"f": 1})
+    assert w.weights == (("f", 1),)
+    assert validate(w) == ["edge name ['e'] is not a string"]
+
+
+@pytest.mark.parametrize("g", [
+    SeparatedGraph(UNHASHABLE, ()),
+    BipartiteSeparatedGraph(SeparatedGraph(UNHASHABLE, ()), (), ()),
+    WeightedGraph.make(UNHASHABLE, {}),
+], ids=["separated", "bipartite", "weighted"])
+def test_unhashable_name_stops_every_report(g):
+    assert validate(g) == UNHASHABLE_REPORT
+
+
+@pytest.mark.parametrize("gate, g, prefix", [
+    (as_weighted, WeightedGraph.make(UNHASHABLE, {}), ""),
+    (as_separated, SeparatedGraph(UNHASHABLE, ()), ""),
+    (as_bipartite, SeparatedGraph(UNHASHABLE, ()), "not bipartite: "),
+], ids=["weighted", "separated", "bipartite"])
+def test_gates_refuse_an_unhashable_name(gate, g, prefix):
+    with pytest.raises(GraphError) as exc:
+        gate(g)
+    assert str(exc.value) == prefix + UNHASHABLE_REPORT[0]
+
+
 def test_group_mixing_names_and_non_names_is_reported():
     d = DirectedGraph.make(("v", "w"), [("e", "v", "w"), (1, "v", "w")])
     s = SeparatedGraph.with_trivial_separation(d)
