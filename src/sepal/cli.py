@@ -37,14 +37,7 @@ _ERRORS = (ParseError, GraphError, ExprError, AlgebraError,
 
 
 def _budget(ns) -> monoids.Budget:
-    coord_sum = getattr(ns, "budget_sum", None)
-    states = getattr(ns, "budget_states", None)
-    if states is None:
-        # SEPAL_BUDGET_STATES is only a default for the missing flag
-        states = monoids.default_budget().states
-    return monoids.Budget(
-        coord_sum=monoids.Budget.coord_sum if coord_sum is None else coord_sum,
-        states=states)
+    return monoids.Budget(coord_sum=ns.budget_sum, states=ns.budget_states)
 
 
 def _prov(graph=None, alg=None, budget=None) -> dict:
@@ -111,7 +104,6 @@ def _cmd_construct(ns):
             payload["unions"].append(graph_payload(union))
             lines += [f"# union 0..{k}", print_graph(union).rstrip("\n")]
         return "ok", payload, _prov(g), lines
-    raise GraphError(f"unknown construction {which!r}")
 
 
 def _cmd_hsat(ns):
@@ -147,7 +139,6 @@ def _cmd_hsat(ns):
         lines = [f"{len(sets)} hereditary saturated sets"] + [
             "  {" + " ".join(sorted(h)) + "}" for h in sets]
         return "ok", payload, _prov(g), lines
-    raise GraphError(f"unknown hsat action {ns.what!r}")
 
 
 def _cmd_nf(ns):
@@ -311,7 +302,12 @@ def _cmd_monoid(ns):
             lines += ["  " + monoids.format_vector(pres, v)
                       for v in ans.path]
         return status, payload, _prov(g, budget=budget), lines
-    raise GraphError(f"unknown monoid action {ns.what!r}")
+
+
+_MATRIX_LISTS = {
+    "ideal-matrices": (mnlab.ideal_matrices, "matrices"),
+    "min-configs": (mnlab.minimal_configurations, "minimal configurations"),
+}
 
 
 def _cmd_mnlab(ns):
@@ -344,19 +340,12 @@ def _cmd_mnlab(ns):
         lines.append("refinement:")
         lines += ["  " + "  ".join(row) for row in refinement]
         return "ok", payload, _prov(g), lines
-    if ns.what == "ideal-matrices":
-        mats = mnlab.ideal_matrices(ns.m, ns.n)
+    if ns.what in _MATRIX_LISTS:
+        build, label = _MATRIX_LISTS[ns.what]
+        mats = build(ns.m, ns.n)
         payload = {"count": len(mats),
                    "matrices": [[list(r) for r in mat] for mat in mats]}
-        lines = [f"{len(mats)} matrices"]
-        for mat in mats:
-            lines += ["  " + " ".join(map(str, r)) for r in mat] + [""]
-        return "ok", payload, {}, lines
-    if ns.what == "min-configs":
-        mats = mnlab.minimal_configurations(ns.m, ns.n)
-        payload = {"count": len(mats),
-                   "matrices": [[list(r) for r in mat] for mat in mats]}
-        lines = [f"{len(mats)} minimal configurations"]
+        lines = [f"{len(mats)} {label}"]
         for mat in mats:
             lines += ["  " + " ".join(map(str, r)) for r in mat] + [""]
         return "ok", payload, {}, lines
@@ -372,11 +361,17 @@ def _cmd_mnlab(ns):
                 f"type { tuple(report['quotient']['leavitt_type']) }")
         lines.append(f"rose relations hold: {report['rose']['relations_hold']}")
         return "ok", report, _prov(budget=budget), lines
-    raise GraphError(f"unknown mnlab action {ns.what!r}")
 
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget-sum", type=int, dest="budget_sum",
+                   default=monoids.Budget.coord_sum)
+    p.add_argument("--budget-states", type=int, dest="budget_states",
+                   default=monoids.Budget.states)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,8 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator")
     p.add_argument("--x")
     p.add_argument("--y")
-    p.add_argument("--budget-sum", type=int, dest="budget_sum")
-    p.add_argument("--budget-states", type=int, dest="budget_states")
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_monoid)
 
     p = sub.add_parser("mnlab", help="single-vertex partition laboratory")
@@ -449,8 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--partition")
-    p.add_argument("--budget-sum", type=int, dest="budget_sum")
-    p.add_argument("--budget-states", type=int, dest="budget_states")
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_mnlab)
 
     return top

@@ -8,10 +8,13 @@ level with all edges pointing down; a weighted graph attaches a positive
 integer to every edge.
 
 All graph values are immutable after construction and hashable, so they can
-be shared freely between algebra carriers, caches and test fixtures.
-Constructors never raise on semantically malformed data: ``validate``
-returns a list of human-readable violations and ``require_valid`` turns a
-non-empty report into a ``GraphError``.
+be shared freely between algebra carriers, caches and test fixtures.  A
+constructor raises ``GraphError`` only for what a graph value cannot hold,
+an edge that is not a (name, source, range) triple or a value that cannot
+be hashed, naming the first in ``validate``'s words; each class checks the
+fields it adds.  ``validate`` reports everything else as a list of
+human-readable violations, and ``require_valid`` turns a non-empty report
+into a ``GraphError``.
 
 Every public function that takes a graph opens with one gate, or hands the
 graph straight to a function that does.  A gate returns the graph in the
@@ -44,6 +47,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import length_hint
 from typing import Iterable, Mapping, Sequence, Union, get_args
 
 Edge = tuple[str, str, str]  # (name, source vertex, range vertex)
@@ -58,12 +62,7 @@ _BAD_CHAR = re.compile(r"[\s#]")
 
 
 def _check_names(kind: str, names: tuple, out: list[str]) -> None:
-    try:
-        counts = Counter(names).items()
-    except TypeError:  # an unhashable name: count by equality instead
-        counts = [(n, names.count(n)) for i, n in enumerate(names)
-                  if n not in names[:i]]
-    for name, count in counts:
+    for name, count in Counter(names).items():
         if count > 1:
             out.append(f"duplicate {kind} name {name!r}")
         if not isinstance(name, str):
@@ -74,14 +73,49 @@ def _check_names(kind: str, names: tuple, out: list[str]) -> None:
             out.append(f"{kind} name {name!r} contains whitespace or '#'")
 
 
+def _hashes(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _require_hashable(g, fields) -> None:
+    """Raise ``GraphError`` unless ``fields`` hash, with the message of the
+    first ``(value, message)`` of ``g._faults()`` whose value does not."""
+    if not _hashes(fields):
+        raise GraphError(next((m for v, m in g._faults() if not _hashes(v)),
+                              f"{type(g).__name__} fields must be tuples"))
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
+    def __post_init__(self):
+        if not set(map(length_hint, self.edges)) <= {3}:  # 0 if no len()
+            e = next(e for e in self.edges if length_hint(e) != 3)
+            raise GraphError(f"edge {e!r} is not a (name, source, range) triple")
+        _require_hashable(self, (self.vertices, self.edges))
+
+    def _faults(self):
+        for v in self.vertices:
+            yield v, f"vertex name {v!r} is not a string"
+        for name, s, r in self.edges:
+            yield name, f"edge name {name!r} is not a string"
+            yield s, f"edge {name!r} has unknown source {s!r}"
+            yield r, f"edge {name!r} has unknown range {r!r}"
+
     @staticmethod
     def make(vertices: Iterable[str], edges: Iterable[Sequence[str]]) -> "DirectedGraph":
-        return DirectedGraph(tuple(vertices), tuple((e[0], e[1], e[2]) for e in edges))
+        edges = tuple(edges)
+        try:
+            edges = tuple(map(tuple, edges))
+        except TypeError:  # an edge that is not iterable: __post_init__ refuses it
+            pass
+        return DirectedGraph(tuple(vertices), edges)
 
     @cached_property
     def vertex_set(self) -> frozenset[str]:
@@ -135,20 +169,24 @@ class SeparatedGraph:
     graph: DirectedGraph
     separation: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
 
+    def __post_init__(self):
+        _require_hashable(self, self.separation)
+
+    def _faults(self):
+        for v, groups in self.separation:
+            yield v, f"separation given for unknown vertex {v!r}"
+            for e in (e for grp in groups for e in grp):
+                yield e, f"separation of {v!r} lists unknown edge {e!r}"
+
     @staticmethod
     def make(graph: DirectedGraph,
              separation: Mapping[str, Iterable[Iterable[str]]]) -> "SeparatedGraph":
-        try:
-            vertices, keys = graph.vertex_set, separation
-        except TypeError:  # a name validate reports: compare by equality
-            vertices, keys = graph.vertices, tuple(separation)
-
         def entry(v):
             return v, tuple(tuple(sorted(g, key=str)) for g in separation[v])
         # a known vertex with no groups gets no entry; an unknown one keeps
         # its entry, for validate to report
-        known = [entry(v) for v in graph.vertices if v in keys]
-        unknown = [entry(v) for v in separation if v not in vertices]
+        known = [entry(v) for v in graph.vertices if v in separation]
+        unknown = [entry(v) for v in separation if v not in graph.vertex_set]
         return SeparatedGraph(graph, tuple(
             [(v, groups) for v, groups in known if groups] + unknown))
 
@@ -201,6 +239,13 @@ class BipartiteSeparatedGraph:
     upper: tuple[str, ...]
     lower: tuple[str, ...]
 
+    def __post_init__(self):
+        _require_hashable(self, (self.upper, self.lower))
+
+    def _faults(self):
+        for v in (*self.upper, *self.lower):
+            yield v, f"level assignment names unknown vertex {v!r}"
+
     @staticmethod
     def make(base: SeparatedGraph, upper: Iterable[str] | None = None,
              lower: Iterable[str] | None = None) -> "BipartiteSeparatedGraph":
@@ -208,12 +253,8 @@ class BipartiteSeparatedGraph:
         go up and all others go down."""
         g = base.graph
         if upper is None and lower is None:
-            try:
-                emits = [bool(g.out_edges[v]) for v in g.vertices]
-            except TypeError:  # a name validate reports: all go down
-                emits = [False] * len(g.vertices)
-            upper = tuple(v for v, up in zip(g.vertices, emits) if up)
-            lower = tuple(v for v, up in zip(g.vertices, emits) if not up)
+            upper = tuple(v for v in g.vertices if g.out_edges[v])
+            lower = tuple(v for v in g.vertices if not g.out_edges[v])
         elif upper is None or lower is None:
             raise GraphError("give both levels or neither")
         return BipartiteSeparatedGraph(base, tuple(upper), tuple(lower))
@@ -271,14 +312,18 @@ class WeightedGraph:
     graph: DirectedGraph
     weights: tuple[tuple[str, int], ...]  # in edge order
 
+    def __post_init__(self):
+        _require_hashable(self, self.weights)
+
+    def _faults(self):
+        for e, w in self.weights:
+            yield e, f"weight given for unknown edge {e!r}"
+            yield w, f"weight of {e!r} is {w!r}; weights are positive integers"
+
     @staticmethod
     def make(graph: DirectedGraph, weights: Mapping[str, int]) -> "WeightedGraph":
-        try:
-            edges, keys = graph._ends, weights
-        except TypeError:  # a name validate reports: compare by equality
-            edges, keys = graph.edge_names, tuple(weights)
-        listed = tuple((e, weights[e]) for e in graph.edge_names if e in keys)
-        extra = tuple((e, w) for e, w in weights.items() if e not in edges)
+        listed = tuple((e, weights[e]) for e in graph.edge_names if e in weights)
+        extra = tuple((e, w) for e, w in weights.items() if e not in graph._ends)
         return WeightedGraph(graph, listed + extra)
 
     @cached_property
@@ -307,25 +352,11 @@ _GRAPH_TYPES = get_args(AnyGraph)
 # validation
 
 
-def _names_hash(g: DirectedGraph) -> bool:
-    """Whether every vertex and edge name of ``g`` can be hashed.  The
-    directed report flags one that cannot; the checks built on that report
-    hash names, so they stop there."""
-    try:
-        hash((g.vertices, g.edge_names))
-    except TypeError:
-        return False
-    return True
-
-
 def _validate_directed(g: DirectedGraph) -> list[str]:
     out: list[str] = []
     _check_names("vertex", g.vertices, out)
     _check_names("edge", g.edge_names, out)
-    try:
-        vertex_set, edge_set = g.vertex_set, set(g.edge_names)
-    except TypeError:  # an unhashable name, reported above
-        return out
+    vertex_set, edge_set = g.vertex_set, set(g.edge_names)
     for name, s, r in g.edges:
         if s not in vertex_set:
             out.append(f"edge {name!r} has unknown source {s!r}")
@@ -338,8 +369,6 @@ def _validate_directed(g: DirectedGraph) -> list[str]:
 
 def _validate_separated(g: SeparatedGraph) -> list[str]:
     out = list(g.graph._report)
-    if not _names_hash(g.graph):
-        return out
     known = set(g.graph.edge_names)
     for v, groups in g.separation:
         if v not in g.graph.vertex_set:
@@ -372,8 +401,6 @@ def _validate_separated(g: SeparatedGraph) -> list[str]:
 
 def _validate_bipartite(g: BipartiteSeparatedGraph) -> list[str]:
     out = list(g.base._report)
-    if not _names_hash(g.graph):
-        return out
     both = g.upper_set & g.lower_set
     for v in sorted(both, key=str):
         out.append(f"vertex {v!r} appears on both levels")
@@ -393,8 +420,6 @@ def _validate_bipartite(g: BipartiteSeparatedGraph) -> list[str]:
 
 def _validate_weighted(g: WeightedGraph) -> list[str]:
     out = list(g.graph._report)
-    if not _names_hash(g.graph):
-        return out
     names = set(g.graph.edge_names)
     for e, w in g.weights:
         if e not in names:

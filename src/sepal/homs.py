@@ -104,9 +104,6 @@ class GenExpr:
         return GenExpr._of({tuple((n, not s) for n, s in reversed(w)): c
                             for w, c in self.terms.items()})
 
-    def names(self) -> set[str]:
-        return {n for w in self.terms for n, _ in w}
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GenExpr) and self.terms == other.terms
 

@@ -233,7 +233,7 @@ def example_58_map(m: int, n: int) -> GeneratorMap:
 
 
 def example_59_report(m: int, n: int,
-                      budget: monoids.Budget | None = None) -> dict:
+                      budget: monoids.Budget = monoids.Budget()) -> dict:
     """Full invariant tour of the minimal partition (n, 1, ..., 1).
 
     Reports the slot monoid with its reduction to two generators, the
@@ -244,7 +244,6 @@ def example_59_report(m: int, n: int,
     """
     if not 3 <= m <= n:
         raise GraphError("need 3 <= m <= n")
-    budget = budget or monoids.default_budget()
     p0 = minimal_partition(m, n)
     g = partition_to_weighted(p0)
     pres = monoids.m1_of(g)
@@ -253,9 +252,8 @@ def example_59_report(m: int, n: int,
     ltype = monoids.leavitt_type(slim, "v", budget)
 
     ideals = monoids.order_ideals(g)
-    proper = [e for e in ideals
-              if e.vertices and e.vertices != frozenset(
-                  cons.separated_of_weighted(g).vertices)]
+    everything = frozenset(cons.separated_of_weighted(g).vertices)
+    proper = [e for e in ideals if e.vertices and e.vertices != everything]
 
     quotient_data = None
     if len(proper) == 1:

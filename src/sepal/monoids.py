@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from operator import add, ge, sub
 from typing import Iterable, Sequence
@@ -231,17 +230,6 @@ class Budget:
                     f"budget {name} must be positive, not {value}")
 
 
-def default_budget() -> Budget:
-    states = os.environ.get("SEPAL_BUDGET_STATES")
-    if not states:
-        return Budget()
-    try:
-        return Budget(states=int(states))
-    except ValueError:
-        raise GraphError("SEPAL_BUDGET_STATES must be a positive integer, "
-                         f"not {states!r}") from None
-
-
 @dataclass(frozen=True)
 class CongruenceAnswer:
     answer: str  # yes | no | unknown
@@ -266,7 +254,7 @@ def _step(v: Vec, l: Vec, r: Vec) -> Vec | None:
 
 
 def congruent(p: MonoidPresentation, x: Vec, y: Vec,
-              budget: Budget | None = None) -> CongruenceAnswer:
+              budget: Budget = Budget()) -> CongruenceAnswer:
     """Budgeted bidirectional search for a rewrite chain from x to y.
 
     ``yes`` comes with the witnessing chain.  ``no`` is definitive: one
@@ -274,7 +262,6 @@ def congruent(p: MonoidPresentation, x: Vec, y: Vec,
     other side.  Everything else is ``unknown``.  Both vectors must lie in
     the monoid: a negative coordinate is a ``GraphError``.
     """
-    budget = budget or default_budget()
     if len(x) != len(p.generators) or len(y) != len(p.generators):
         raise GraphError("vector length does not match the generators")
     if min(x, default=0) < 0 or min(y, default=0) < 0:
@@ -443,7 +430,7 @@ class LeavittTypeAnswer:
 
 
 def leavitt_type(pres: MonoidPresentation, gen: str,
-                 budget: Budget | None = None) -> LeavittTypeAnswer:
+                 budget: Budget = Budget()) -> LeavittTypeAnswer:
     """Least p >= 1 admitting q >= 1 with p·a ~ (p+q)·a, then least such q,
     among the pairs with p + q <= ``budget.coord_sum``.  Each pair costs
     one ``congruent`` word problem; Tietze-reduce large presentations first.
@@ -461,7 +448,6 @@ def leavitt_type(pres: MonoidPresentation, gen: str,
     certifies that no pair exists, is reported as ``unknown`` with
     ``order`` None.
     """
-    budget = budget or default_budget()
     order = class_order(pres, gen)
     if order is None:
         return LeavittTypeAnswer("unknown", None, None, 0, None, False)

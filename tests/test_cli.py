@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import io
 import json
 
 import pytest
 
-from sepal.cli import main
+from sepal.cli import _EXIT, _build_parser, main
 from sepal.graphio import load_graph, parse_graph, print_graph
 from sepal.graphs import validate
 from test_constructions import BAD_BIP, hsat_by_scan
@@ -87,23 +88,13 @@ def test_non_positive_budget_is_an_error(omega0_path, flag, value):
     assert "must be positive" in doc["payload"]["message"]
 
 
-@pytest.mark.parametrize("value", ["0", "-4", "lots", "2.5"])
-def test_bad_budget_environment_is_an_error(omega0_path, monkeypatch, value):
-    monkeypatch.setenv("SEPAL_BUDGET_STATES", value)
-    for flags in [(), ("--budget-sum", "10")]:
-        code, doc = run_json("monoid", "leavitt-type", "--graph", omega0_path,
-                             "--generator", "v", *flags)
-        assert code == 2, flags
-        assert "SEPAL_BUDGET_STATES" in doc["payload"]["message"]
-
-
-def test_budget_flags_need_no_environment(omega0_path, monkeypatch):
-    # the variable only stands in for a missing --budget-states
-    monkeypatch.setenv("SEPAL_BUDGET_STATES", "abc")
+def test_budget_flags_need_no_environment(omega0_path):
+    # a missing flag takes the default of its Budget field
     for flags, budget in [
             (("--budget-states", "500", "--budget-sum", "10"),
              {"coord_sum": 10, "states": 500}),
-            (("--budget-states", "500"), {"coord_sum": 32, "states": 500})]:
+            (("--budget-states", "500"), {"coord_sum": 32, "states": 500}),
+            ((), {"coord_sum": 32, "states": 10 ** 6})]:
         code, doc = run_json("monoid", "leavitt-type", "--graph", omega0_path,
                              "--generator", "v", *flags)
         assert code == 0, flags
@@ -472,6 +463,39 @@ def test_mnlab_example59():
     assert code == 0
     assert doc["payload"]["monoid"]["grothendieck"] == "Z/2"
     assert doc["payload"]["quotient"]["leavitt_type"] == [1, 1]
+
+
+def _actions(*verbs):
+    """(verb, action) for every choice of each verb's positional action."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for verb in verbs:
+        what = next(a for a in sub.choices[verb]._actions if a.dest == "what")
+        for action in what.choices:
+            yield verb, action
+
+
+# what every action of a verb runs on; a weighted input where one is needed
+ACTION_ARGS = {
+    "construct": ("--graph", "e23.txt", "--m", "2", "--n", "3"),
+    "hsat": ("--graph", "e23.txt", "--set", "v w"),
+    "monoid": ("--graph", "omega0_35.txt", "--generator", "v",
+               "--x", "v", "--y", "3 v"),
+    "mnlab": ("--m", "3", "--n", "4"),
+}
+WEIGHTED_ACTIONS = {"vw2sep", "w2sep"}
+ACTIONS = list(_actions(*ACTION_ARGS))
+
+
+@pytest.mark.parametrize("verb, action", ACTIONS, ids=map("-".join, ACTIONS))
+def test_every_action_returns_a_report(fixture_dir, verb, action):
+    args = list(ACTION_ARGS[verb])
+    if "--graph" in args:
+        graph = "wmax22.txt" if action in WEIGHTED_ACTIONS else args[1]
+        args[1] = str(fixture_dir / graph)
+    code, text = run(verb, action, *args)
+    assert code == _EXIT["ok"]
+    assert text.strip()
 
 
 def test_json_envelope_shape(e23_path):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepal import constructions as cons
 from sepal import exprs, graphio, graphs, homs, mnlab, monoids
@@ -287,51 +287,180 @@ def test_as_bipartite_keeps_the_report_it_computes(monkeypatch):
     assert checked == [b, s]
 
 
+def test_malformed_edges_are_refused():
+    for edge in [("e", "v"), ("e", "v", "v", "x"), 5]:
+        with pytest.raises(GraphError) as exc:
+            DirectedGraph.make(("v",), [edge])
+        assert str(exc.value) == (
+            f"edge {edge!r} is not a (name, source, range) triple")
+
+
+def _refusal(build):
+    with pytest.raises(GraphError) as exc:
+        build()
+    return str(exc.value)
+
+
 def test_unhashable_name_is_a_violation():
-    assert validate(DirectedGraph.make((["a"],), [])) == [
-        "vertex name ['a'] is not a string"]
-    d = DirectedGraph.make(("v", ["a"], ["a"]), [({}, "v", "v")])
-    assert validate(d) == ["duplicate vertex name ['a']",
-                           "vertex name ['a'] is not a string",
-                           "edge name {} is not a string"]
-    with pytest.raises(GraphError, match="is not a string"):
-        require_valid(d)
+    # a graph value cannot hold it, so the constructor refuses it in the
+    # words validate uses for a name
+    assert _refusal(lambda: DirectedGraph.make((["a"],), [])) == (
+        "vertex name ['a'] is not a string")
+    assert _refusal(lambda: DirectedGraph.make(
+        ("v", ["a"], ["a"]), [({}, "v", "v")])) == (
+        "vertex name ['a'] is not a string")
+    assert _refusal(lambda: DirectedGraph.make(
+        ("v",), [({}, "v", "v")])) == "edge name {} is not a string"
+    assert _refusal(lambda: DirectedGraph.make(
+        ("v",), [("e", "v", ["v"])])) == "edge 'e' has unknown range ['v']"
 
 
-UNHASHABLE = DirectedGraph.make((["a"],), [])
-UNHASHABLE_REPORT = ["vertex name ['a'] is not a string"]
+LOOP = DirectedGraph.make(("v",), [("e", "v", "v")])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SeparatedGraph(LOOP, ((["v"], (("e",),)),)),
+     "separation given for unknown vertex ['v']"),
+    (lambda: BipartiteSeparatedGraph(
+        SeparatedGraph.with_trivial_separation(LOOP), ("v",), ({},)),
+     "level assignment names unknown vertex {}"),
+    (lambda: WeightedGraph.make(LOOP, {"e": [1]}),
+     "weight of 'e' is [1]; weights are positive integers"),
+], ids=["separated", "bipartite", "weighted"])
+def test_unhashable_name_stops_every_report(build, message):
+    # each kind checks the fields it adds to the graph inside it
+    assert _refusal(build) == message
 
 
 def test_constructors_take_an_unhashable_name():
-    s = SeparatedGraph.make(UNHASHABLE, {})
-    assert s.separation == ()
-    assert validate(s) == UNHASHABLE_REPORT
-    b = BipartiteSeparatedGraph.make(s)
-    assert (b.upper, b.lower) == ((), (["a"],))
-    edge = DirectedGraph.make(("v",), [(["e"], "v", "v")])
-    w = WeightedGraph.make(edge, {"f": 1})
-    assert w.weights == (("f", 1),)
-    assert validate(w) == ["edge name ['e'] is not a string"]
+    # each ``make`` takes an unhashable name in the part it adds and answers
+    # with a GraphError, never a bare TypeError
+    s = SeparatedGraph.with_trivial_separation(LOOP)
+    assert _refusal(lambda: DirectedGraph.make(
+        ("v",), [(["e"], "v", "v")])) == "edge name ['e'] is not a string"
+    assert _refusal(lambda: SeparatedGraph.make(LOOP, {"v": [[["e"]]]})) == (
+        "separation of 'v' lists unknown edge ['e']")
+    assert _refusal(lambda: BipartiteSeparatedGraph.make(s, [["v"]], [])) == (
+        "level assignment names unknown vertex ['v']")
+    assert _refusal(lambda: WeightedGraph.make(LOOP, {"e": 1, "f": [1]})) == (
+        "weight of 'f' is [1]; weights are positive integers")
 
 
-@pytest.mark.parametrize("g", [
-    SeparatedGraph(UNHASHABLE, ()),
-    BipartiteSeparatedGraph(SeparatedGraph(UNHASHABLE, ()), (), ()),
-    WeightedGraph.make(UNHASHABLE, {}),
-], ids=["separated", "bipartite", "weighted"])
-def test_unhashable_name_stops_every_report(g):
-    assert validate(g) == UNHASHABLE_REPORT
+def _unhashable_vertex():
+    return DirectedGraph.make((["a"],), [])
 
 
-@pytest.mark.parametrize("gate, g, prefix", [
-    (as_weighted, WeightedGraph.make(UNHASHABLE, {}), ""),
-    (as_separated, SeparatedGraph(UNHASHABLE, ()), ""),
-    (as_bipartite, SeparatedGraph(UNHASHABLE, ()), "not bipartite: "),
+@pytest.mark.parametrize("gate, build", [
+    (as_weighted, lambda: WeightedGraph.make(_unhashable_vertex(), {})),
+    (as_separated, lambda: SeparatedGraph.make(_unhashable_vertex(), {})),
+    (as_bipartite, lambda: SeparatedGraph.make(_unhashable_vertex(), {})),
 ], ids=["weighted", "separated", "bipartite"])
-def test_gates_refuse_an_unhashable_name(gate, g, prefix):
-    with pytest.raises(GraphError) as exc:
-        gate(g)
-    assert str(exc.value) == prefix + UNHASHABLE_REPORT[0]
+def test_gates_refuse_an_unhashable_name(gate, build):
+    # the graph a gate would check cannot be built, so the refusal comes
+    # before the gate runs, in the words validate uses for the name
+    assert _refusal(lambda: gate(build())) == (
+        "vertex name ['a'] is not a string")
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _built(build, *values):
+    """``build()``, which must raise ``GraphError`` exactly when one of
+    ``values`` cannot be hashed; None when it does."""
+    hashable = all(map(_hashable, values))
+    try:
+        g = build()
+    except GraphError:
+        assert not hashable
+        return None
+    assert hashable
+    return g
+
+
+def _every_check(g) -> None:
+    """Run each report and gate on ``g``; only ``GraphError`` may escape."""
+    for check in (validate, require_valid, as_weighted, as_separated,
+                  as_bipartite):
+        try:
+            check(g)
+        except GraphError:
+            pass
+
+
+any_name = st.one_of(st.sampled_from(["v", "w", "e", "f"]), st.integers(0, 1),
+                     st.lists(st.sampled_from(["v", "e"]), max_size=1),
+                     st.dictionaries(st.sampled_from(["v", "e"]),
+                                     st.integers(1, 2), max_size=1))
+names_of = st.lists(any_name, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertices=names_of,
+       edges=st.lists(st.tuples(any_name, any_name, any_name), max_size=3),
+       separation=st.lists(st.tuples(any_name, st.lists(names_of, max_size=2)),
+                           max_size=2),
+       levels=st.tuples(names_of, names_of),
+       weights=st.lists(st.tuples(any_name, st.one_of(st.integers(0, 2),
+                                                      any_name)),
+                        max_size=3))
+# values a lookup would meet: a source (validate), a level, a group member,
+# a source (with_trivial_separation's fibers), a range (as_bipartite)
+@example(vertices=["v"], edges=[("e", ["v"], "v")], separation=[],
+         levels=([], []), weights=[])
+@example(vertices=["v"], edges=[], separation=[], levels=([["v"]], []),
+         weights=[])
+@example(vertices=["v", "w"], edges=[("e", "v", "w")],
+         separation=[("v", [[["e"]]])], levels=([], []), weights=[])
+@example(vertices=["v"], edges=[("e", {}, "v")], separation=[],
+         levels=([], []), weights=[])
+@example(vertices=["v"], edges=[("e", "v", ["v"])], separation=[],
+         levels=([], []), weights=[])
+def test_construction_refuses_exactly_the_unhashable(vertices, edges,
+                                                     separation, levels,
+                                                     weights):
+    ends = [x for e in edges for x in e]
+    directed = [_built(lambda: DirectedGraph.make(vertices, edges),
+                       *vertices, *ends),
+                _built(lambda: DirectedGraph(tuple(vertices), tuple(edges)),
+                       *vertices, *ends)]
+    if directed[0] is None:
+        return
+    d = directed[0]
+    members = [e for _, groups in separation for g in groups for e in g]
+    keyed = {v: groups for v, groups in separation if _hashable(v)}
+    separated = [
+        SeparatedGraph.with_trivial_separation(d),
+        _built(lambda: SeparatedGraph(d, tuple(
+            (v, tuple(map(tuple, groups))) for v, groups in separation)),
+               *(v for v, _ in separation), *members),
+        _built(lambda: SeparatedGraph.make(d, keyed),
+               *(e for groups in keyed.values() for g in groups for e in g)),
+    ]
+    upper, lower = levels
+    bipartite = []
+    for s in filter(None, separated):
+        bipartite += [
+            BipartiteSeparatedGraph.make(s),
+            _built(lambda: BipartiteSeparatedGraph(s, tuple(upper),
+                                                   tuple(lower)),
+                   *upper, *lower),
+            _built(lambda: BipartiteSeparatedGraph.make(s, upper, lower),
+                   *upper, *lower)]
+    keyed = {e: w for e, w in weights if _hashable(e)}
+    weighted = [
+        _built(lambda: WeightedGraph(d, tuple(weights)),
+               *(x for pair in weights for x in pair)),
+        _built(lambda: WeightedGraph.make(d, keyed),
+               *keyed.values())]
+    for g in directed + separated + bipartite + weighted:
+        if g is not None:
+            _every_check(g)
 
 
 def test_group_mixing_names_and_non_names_is_reported():

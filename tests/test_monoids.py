@@ -12,7 +12,6 @@ from sepal.monoids import (
     MonoidPresentation,
     class_order,
     congruent,
-    default_budget,
     eliminate_identifications,
     format_presentation,
     format_vector,
@@ -167,14 +166,6 @@ def test_congruent_rejects_negative_vectors():
 def test_budget_fields_are_integers(field, value):
     with pytest.raises(GraphError, match=f"budget {field} must be an integer"):
         Budget(**{field: value})
-
-
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("SEPAL_BUDGET_STATES", "123")
-    assert default_budget().states == 123
-    assert default_budget().coord_sum == 32
-    monkeypatch.delenv("SEPAL_BUDGET_STATES")
-    assert default_budget().states == 10 ** 6
 
 
 # --- abelianization ------------------------------------------------------------------
