@@ -39,6 +39,7 @@ from .staralg import (
     basis_words,
     corner,
     equals,
+    format_element,
     normal_form,
 )
 from .homs import (
@@ -55,7 +56,7 @@ from .homs import (
     rho_tau,
     verify,
 )
-from .exprs import ExprError, format_element, parse_element, parse_weighted
+from .exprs import ExprError, parse_element, parse_weighted
 from .graphio import ParseError, load_graph, parse_graph, print_graph
 from .monoids import (
     Budget,

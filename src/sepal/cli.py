@@ -18,7 +18,7 @@ import sys
 
 from . import constructions as cons
 from . import mnlab, monoids, sweeps
-from .exprs import ExprError, format_element, parse_element, parse_weighted
+from .exprs import ExprError, parse_element, parse_weighted
 from .graphio import (
     ParseError,
     graph_payload,
@@ -28,7 +28,7 @@ from .graphio import (
 )
 from .graphs import GraphError, WeightedGraph, is_vertex_weighted, validate
 from .homs import MAPS, evaluate, ideal_generators, phi1, relations, verify
-from .staralg import AlgebraError, StarAlgebra, normal_form
+from .staralg import AlgebraError, StarAlgebra, format_element, normal_form
 
 _EXIT = {"ok": 0, "fail": 1, "error": 2, "unknown": 3}
 
@@ -46,9 +46,7 @@ def _prov(graph=None, alg=None, budget=None) -> dict:
         out["graph_sha256"] = graph_sha256(graph)
     if alg is not None:
         out["normal_form_graph_sha256"] = graph_sha256(alg.sep)
-        out["designated_edges"] = {
-            v: [alg.chosen[(v, i)] for i in range(len(groups))]
-            for v, groups in alg.sep.separation}
+        out["designated_edges"] = alg.chosen
     if budget is not None:
         out["budget"] = {"coord_sum": budget.coord_sum,
                          "states": budget.states}

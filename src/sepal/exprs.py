@@ -1,4 +1,4 @@
-"""Parsing and printing of algebra elements.
+"""Parsing of algebra elements.
 
 Grammar (whitespace separates factors, ``#`` is not special here):
 
@@ -11,6 +11,7 @@ Names are matched longest-first against the known vertex and edge names,
 so generated names containing parentheses or commas tokenize without
 quoting.  The ``.`` index form addresses the slot generators of a weighted
 graph and is rejected elsewhere.  A postfix ``*`` stars the factor.
+``staralg.format_element`` prints an element back in this grammar.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .graphs import WeightedGraph, as_weighted
 from .homs import GenExpr, slot_name
-from .staralg import GHOST, AlgElement, StarAlgebra
+from .staralg import AlgElement, StarAlgebra
 
 _IDENT = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -179,23 +180,3 @@ def parse_weighted(text: str, g: WeightedGraph) -> GenExpr:
         expr = expr + GenExpr({tuple(word): coeff})
     return expr
 
-
-def format_element(elem: AlgElement) -> str:
-    """Canonical rendering: terms sorted by word length then letters, ghost
-    letters with a postfix star, coefficients as integers or fractions."""
-    if elem.is_zero:
-        return "0"
-    parts: list[str] = []
-    for word in sorted(elem.terms, key=lambda w: (len(w), w)):
-        coeff = elem.terms[word]
-        bits = []
-        for name, kind in word:
-            bits.append(name + "*" if kind == GHOST else name)
-        body = " ".join(bits)
-        mag = abs(coeff)
-        txt = body if mag == 1 else f"{mag} {body}"
-        if not parts:
-            parts.append(txt if coeff > 0 else "-" + txt)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + txt)
-    return " ".join(parts)

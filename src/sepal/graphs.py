@@ -9,12 +9,14 @@ integer to every edge.
 
 All graph values are immutable after construction and hashable, so they can
 be shared freely between algebra carriers, caches and test fixtures.  A
-constructor raises ``GraphError`` only for what a graph value cannot hold,
-an edge that is not a (name, source, range) triple or a value that cannot
-be hashed, naming the first in ``validate``'s words; each class checks the
-fields it adds.  ``validate`` reports everything else as a list of
-human-readable violations, and ``require_valid`` turns a non-empty report
-into a ``GraphError``.
+constructor raises ``GraphError`` only for what a graph value cannot hold;
+each class checks the fields it adds.  The shape rule: every field other
+than an inner graph is a ``tuple``, every edge is a (name, source, range)
+3-tuple, every separation entry a (vertex, tuple of group tuples) pair and
+every weight entry an (edge, weight) pair.  A value that cannot be hashed
+is refused too, naming the first in ``validate``'s words.  ``validate``
+reports everything else as a list of human-readable violations, and
+``require_valid`` turns a non-empty report into a ``GraphError``.
 
 Every public function that takes a graph opens with one gate, or hands the
 graph straight to a function that does.  A gate returns the graph in the
@@ -47,7 +49,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import length_hint
 from typing import Iterable, Mapping, Sequence, Union, get_args
 
 Edge = tuple[str, str, str]  # (name, source vertex, range vertex)
@@ -81,12 +82,29 @@ def _hashes(value) -> bool:
     return True
 
 
+def _require_tuple(g, field: str, size: int | None = None,
+                   message: str = "") -> tuple:
+    """The field ``field`` of ``g``, which must be a tuple, of tuples of
+    length ``size`` if one is given; else a ``GraphError`` that names the
+    first misfit with ``message``.  A plain loop: on the 10,368 edges of a
+    Bratteli layer it beats two C-level passes, and on a sweep graph's few
+    it is several times faster."""
+    items = getattr(g, field)
+    if type(items) is not tuple:
+        raise GraphError(f"{type(g).__name__} {field} must be a tuple, "
+                         f"not {type(items).__name__}")
+    if size is not None:
+        for x in items:
+            if type(x) is not tuple or len(x) != size:
+                raise GraphError(message.format(x))
+    return items
+
+
 def _require_hashable(g, fields) -> None:
     """Raise ``GraphError`` unless ``fields`` hash, with the message of the
     first ``(value, message)`` of ``g._faults()`` whose value does not."""
     if not _hashes(fields):
-        raise GraphError(next((m for v, m in g._faults() if not _hashes(v)),
-                              f"{type(g).__name__} fields must be tuples"))
+        raise GraphError(next(m for v, m in g._faults() if not _hashes(v)))
 
 
 @dataclass(frozen=True)
@@ -95,9 +113,9 @@ class DirectedGraph:
     edges: tuple[Edge, ...]
 
     def __post_init__(self):
-        if not set(map(length_hint, self.edges)) <= {3}:  # 0 if no len()
-            e = next(e for e in self.edges if length_hint(e) != 3)
-            raise GraphError(f"edge {e!r} is not a (name, source, range) triple")
+        _require_tuple(self, "vertices")
+        _require_tuple(self, "edges", 3,
+                       "edge {!r} is not a (name, source, range) triple")
         _require_hashable(self, (self.vertices, self.edges))
 
     def _faults(self):
@@ -170,6 +188,11 @@ class SeparatedGraph:
     separation: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
 
     def __post_init__(self):
+        message = "separation entry {!r} is not a (vertex, tuple of tuples) pair"
+        for entry in _require_tuple(self, "separation", 2, message):
+            if type(entry[1]) is not tuple or not all(
+                    type(grp) is tuple for grp in entry[1]):
+                raise GraphError(message.format(entry))
         _require_hashable(self, self.separation)
 
     def _faults(self):
@@ -202,22 +225,12 @@ class SeparatedGraph:
 
     @cached_property
     def group_of(self) -> dict[str, tuple[str, ...]]:
-        """Edge name -> the group tuple containing it."""
+        """Edge name -> the group tuple containing it, one object per group."""
         table: dict[str, tuple[str, ...]] = {}
         for _, groups in self.separation:
             for g in groups:
                 for e in g:
                     table[e] = g
-        return table
-
-    @cached_property
-    def group_key(self) -> dict[str, tuple[str, int]]:
-        """Edge name -> (vertex, group index), identifying its group."""
-        table: dict[str, tuple[str, int]] = {}
-        for v, groups in self.separation:
-            for i, g in enumerate(groups):
-                for e in g:
-                    table[e] = (v, i)
         return table
 
     @property
@@ -240,6 +253,8 @@ class BipartiteSeparatedGraph:
     lower: tuple[str, ...]
 
     def __post_init__(self):
+        _require_tuple(self, "upper")
+        _require_tuple(self, "lower")
         _require_hashable(self, (self.upper, self.lower))
 
     def _faults(self):
@@ -291,10 +306,6 @@ class BipartiteSeparatedGraph:
         return self.base.group_of
 
     @property
-    def group_key(self):
-        return self.base.group_key
-
-    @property
     def vertices(self) -> tuple[str, ...]:
         return self.base.graph.vertices
 
@@ -313,6 +324,8 @@ class WeightedGraph:
     weights: tuple[tuple[str, int], ...]  # in edge order
 
     def __post_init__(self):
+        _require_tuple(self, "weights", 2,
+                       "weight entry {!r} is not an (edge, weight) pair")
         _require_hashable(self, self.weights)
 
     def _faults(self):

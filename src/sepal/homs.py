@@ -110,13 +110,9 @@ class GenExpr:
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "<gen 0>"
-        bits = []
-        for w, c in self.terms.items():
-            txt = " ".join(n + "*" if s else n for n, s in w)
-            bits.append(txt if c == 1 else f"{c}·{txt}")
-        return "<gen " + " + ".join(bits) + ">"
+        bits = [_format_word(w) if c == 1 else f"{c}·{_format_word(w)}"
+                for w, c in self.terms.items()]
+        return "<gen " + (" + ".join(bits) or "0") + ">"
 
 
 @dataclass(frozen=True)
@@ -285,7 +281,7 @@ def relations(kind: str, g) -> RelationSet:
     if kind in ("lv", "lw"):
         g = as_bipartite(g)
         d = g.base.graph
-        gk = g.group_key
+        group_of = g.group_of
         if kind == "lv":
             ps = [p_name(v) for v in g.upper]
             _vertex_family(ps, rels)
@@ -299,11 +295,11 @@ def relations(kind: str, g) -> RelationSet:
                 rels.append((f"tp:{e}.{f}", _prod(tef, p_name(d.src(f)), tef)))
                 rels.append((f"pt:{e}.{f}", _prod(p_name(d.src(e)), tef, tef)))
             # t(e,f) t(g,h) is a relation exactly when f and g share a group
-            starting: dict[tuple[str, int], list] = {}
+            starting: dict[tuple[str, ...], list] = {}
             for e, f in pairs:
-                starting.setdefault(gk[e], []).append((e, f))
+                starting.setdefault(group_of[e], []).append((e, f))
             for e, f in pairs:
-                for gg, h in starting[gk[f]]:
+                for gg, h in starting[group_of[f]]:
                     rels.append((f"tt:{e}.{f}.{gg}.{h}",
                                  _prod(t[e, f], t[gg, h],
                                        t[e, h] if f == gg else None)))
@@ -321,7 +317,7 @@ def relations(kind: str, g) -> RelationSet:
         pairs = [(e, f) for v in g.upper
                  for e in d.out_edges.get(v, ())
                  for f in d.out_edges.get(v, ())
-                 if gk[e] != gk[f]]
+                 if group_of[e] != group_of[f]]
         r = {pair: r_name(*pair) for pair in pairs}
         for e, f in pairs:
             ref = r[e, f]
@@ -332,11 +328,12 @@ def relations(kind: str, g) -> RelationSet:
             fiber = d.out_edges.get(v, ())
             for e in fiber:
                 for h in fiber:
-                    minus = (r[e, h] if gk[e] != gk[h]
+                    ge, gh = group_of[e], group_of[h]
+                    minus = (r[e, h] if ge != gh
                              else p_name(d.rng(e)) if e == h else None)
                     # r(e,f) r(f,h) needs f away from the groups of e and h
                     for i, grp in enumerate(groups):
-                        if (v, i) == gk[e] or (v, i) == gk[h]:
+                        if grp in (ge, gh):
                             continue
                         words = [((r[e, f], False), (r[f, h], False))
                                  for f in grp]
@@ -369,11 +366,11 @@ def rho_tau(g: BipartiteSeparatedGraph) -> GeneratorMap:
         for e in d.in_edges.get(w, ()):
             for f in d.in_edges.get(w, ()):
                 images[t_name(e, f)] = alg.edge(e) * alg.ghost(f)
-    gk = g.group_key
+    group_of = g.group_of
     for v in g.upper:
         for e in d.out_edges.get(v, ()):
             for f in d.out_edges.get(v, ()):
-                if gk[e] != gk[f]:
+                if group_of[e] != group_of[f]:
                     images[r_name(e, f)] = alg.ghost(e) * alg.edge(f)
                 elif e == f:
                     images[r_name(e, f)] = alg.vertex(d.rng(e))
@@ -498,11 +495,10 @@ def apply_map(gmap: GeneratorMap, elem: AlgElement) -> AlgElement:
 
 
 def kernel_generator(g: BipartiteSeparatedGraph, e: str, f: str, g2: str,
-                     h: str, _map: GeneratorMap | None = None) -> AlgElement:
+                     h: str) -> AlgElement:
     """The lower-corner kernel word r(e,f)r(f,g)r(g,h) - r(e,g)r(g,f)r(f,h)
     for four edges with a common source, normalized."""
     g = as_bipartite(g)
-    gmap = _map or rho_tau(g)
     d = g.base.graph
     unknown = [x for x in (e, f, g2, h) if x not in d._ends]
     if unknown:
@@ -510,6 +506,12 @@ def kernel_generator(g: BipartiteSeparatedGraph, e: str, f: str, g2: str,
     srcs = {d.src(x) for x in (e, f, g2, h)}
     if len(srcs) != 1:
         raise GraphError("kernel words need four edges with a common source")
+    return _kernel_word(rho_tau(g), e, f, g2, h)
+
+
+def _kernel_word(gmap: GeneratorMap, e: str, f: str, g2: str,
+                 h: str) -> AlgElement:
+    """``kernel_generator`` for four checked edges, read off ``rho_tau``."""
     def r(a: str, b: str) -> AlgElement:
         return gmap.images[r_name(a, b)]
     lhs = r(e, f) * r(f, g2) * r(g2, h)
@@ -589,7 +591,7 @@ def ideal_generators(kind: str, g, bound: int | None = None,
         for v in g.upper:
             fiber = d.out_edges.get(v, ())
             for e, f, g2, h in itertools.product(fiber, repeat=4):
-                el = kernel_generator(g, e, f, g2, h, _map=gmap)
+                el = _kernel_word(gmap, e, f, g2, h)
                 if not el.is_zero:
                     out.append((f"gamma:{e}.{f}.{g2}.{h}", el))
         return out

@@ -23,16 +23,18 @@ two local patterns:
 * the pair e e* for the designated edge e of a group expands to the source
   vertex minus the matching pairs g g* over the other group members.
 
-The designated edge of each group is the lexicographically greatest name,
-recorded per algebra and reported by the CLI.  Irreducible words form a
-linear basis, so two elements are equal in the algebra exactly when their
-normal forms match termwise.
+Two tables hold the groups.  ``group_of``, the graph's own, maps each edge
+to its group tuple, one shared object per group, so two letters share a
+group exactly when those tuples are the same object; ``designated`` is the
+set of each group's lexicographically greatest edge.  ``chosen`` lists the
+designated edges per vertex, in group order, for the CLI.  Irreducible
+words form a linear basis (Bergman's Diamond Lemma), so two elements are
+equal exactly when their normal forms match termwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from .graphs import as_bipartite, as_separated
 
@@ -66,12 +68,11 @@ class StarAlgebra:
         self.ends.update(((e, DIRECT), (s, r)) for e, s, r in d.edges)
         self.ends.update(((e, GHOST), (r, s)) for e, s, r in d.edges)
         self.vertex_names = d.vertex_set
-        self.group_key = sep.group_key
         self.group_of = sep.group_of
-        self.chosen: dict[tuple[str, int], str] = {}
-        for v, groups in sep.separation:
-            for i, grp in enumerate(groups):
-                self.chosen[(v, i)] = max(grp)
+        self.chosen: dict[str, list[str]] = {
+            v: [max(grp) for grp in groups] for v, groups in sep.separation}
+        self.designated = frozenset(
+            e for names in self.chosen.values() for e in names)
 
     def same_carrier(self, other: "StarAlgebra") -> bool:
         return self is other or self.sep == other.sep
@@ -113,14 +114,6 @@ class StarAlgebra:
         return AlgElement(self, {w: as_coeff(c) for w, c in terms.items()
                                  if c != 0})
 
-    # -- word geometry
-
-    def word_source(self, word: Word) -> str:
-        return self.ends[word[0]][0]
-
-    def word_range(self, word: Word) -> str:
-        return self.ends[word[-1]][1]
-
 
 def _collect(terms: dict, word, coeff) -> None:
     """Add ``coeff`` to the term ``word`` of ``terms``, dropping a zero."""
@@ -137,25 +130,13 @@ def as_coeff(c) -> Coeff:
     return c if type(c) is int else Fraction(c)
 
 
-def _measure(alg: StarAlgebra, word: Word):
-    # strictly decreasing along every rewrite: designated letters rank
-    # above their group mates at equal length
-    key = []
-    for name, kind in word:
-        if kind == VERTEX:
-            key.append((kind, 0, name))
-        else:
-            gk = alg.group_key[name]
-            key.append((kind, 1 if alg.chosen[gk] == name else 0, name))
-    return (len(word), tuple(key))
-
-
 class AlgElement:
     """Immutable-by-convention linear combination of words.
 
-    The arithmetic operators are raw: they multiply and collect words but
-    never rewrite.  Use the module-level ``mul``/``add``/``star``/``equals``
-    for normalized results.
+    The arithmetic operators are raw: ``+``, ``-`` and ``*`` (the product
+    of two elements) collect words but never rewrite, and ``scale``
+    multiplies by a scalar.  Use ``normal_form``, ``mul`` or ``equals`` for
+    normalized results.
     """
 
     __slots__ = ("alg", "terms")
@@ -191,9 +172,7 @@ class AlgElement:
             return AlgElement(self.alg, {})
         return AlgElement(self.alg, {w: c * k for w, k in self.terms.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, AlgElement):
-            return self.scale(other)
+    def __mul__(self, other: "AlgElement") -> "AlgElement":
         self._need_same(other)
         ends = self.alg.ends
         by_source: dict[str, list[tuple[Word, Coeff]]] = {}
@@ -210,9 +189,6 @@ class AlgElement:
                 _collect(out, wa if wb[0][1] == VERTEX else wa + wb, ca * cb)
         return AlgElement(self.alg, out)
 
-    def __rmul__(self, other) -> "AlgElement":
-        return self.scale(other)
-
     def star(self) -> "AlgElement":
         out = {}
         for w, c in self.terms.items():
@@ -227,15 +203,7 @@ class AlgElement:
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "<0>"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: _measure(self.alg, w)):
-            c = self.terms[w]
-            txt = " ".join(n if k == DIRECT else n + "*" if k == GHOST else n
-                           for n, k in w)
-            bits.append(f"{c}·{txt}" if c != 1 else txt)
-        return "<" + " + ".join(bits) + ">"
+        return f"<{format_element(self)}>"
 
 
 def _word_star(w: Word) -> Word:
@@ -244,21 +212,37 @@ def _word_star(w: Word) -> Word:
     return tuple((n, DIRECT if k == GHOST else GHOST) for n, k in reversed(w))
 
 
-def _redexes(alg: StarAlgebra, word: Word) -> Iterator[int]:
+def format_element(elem: AlgElement) -> str:
+    """Canonical rendering: terms sorted by word length then letters, ghost
+    letters with a postfix star, coefficients as integers or fractions."""
+    if elem.is_zero:
+        return "0"
+    parts: list[str] = []
+    for word in sorted(elem.terms, key=lambda w: (len(w), w)):
+        coeff = elem.terms[word]
+        body = " ".join(n + "*" if k == GHOST else n for n, k in word)
+        mag = abs(coeff)
+        txt = body if mag == 1 else f"{mag} {body}"
+        if not parts:
+            parts.append(txt if coeff > 0 else "-" + txt)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + txt)
+    return " ".join(parts)
+
+
+def _first_redex(alg: StarAlgebra, word: Word) -> int | None:
+    """Where the leftmost redex of ``word`` starts, or None: e* f with e, f
+    in one group, or e e* with e designated."""
+    group_of, designated = alg.group_of, alg.designated
     for i in range(len(word) - 1):
         n1, k1 = word[i]
         n2, k2 = word[i + 1]
-        if k1 == GHOST and k2 == DIRECT and \
-                alg.group_key[n1] == alg.group_key[n2]:
-            yield i
-        elif k1 == DIRECT and k2 == GHOST and n1 == n2 and \
-                alg.chosen[alg.group_key[n1]] == n1:
-            yield i
-
-
-def _splice(word: Word, i: int, vertex: str) -> Word:
-    rest = word[:i] + word[i + 2:]
-    return rest if rest else ((vertex, VERTEX),)
+        if k1 == GHOST:
+            if k2 == DIRECT and group_of[n1] is group_of[n2]:
+                return i
+        elif k1 == DIRECT and k2 == GHOST and n1 == n2 and n1 in designated:
+            return i
+    return None
 
 
 def _rewrite(alg: StarAlgebra, word: Word, i: int) -> list[tuple[Word, int]]:
@@ -268,7 +252,8 @@ def _rewrite(alg: StarAlgebra, word: Word, i: int) -> list[tuple[Word, int]]:
         return []
     # e* e collapses to r(e) and e e* expands around s(e): either way the
     # vertex is the source of the redex's first letter
-    out = [(_splice(word, i, alg.ends[word[i]][0]), 1)]
+    rest = word[:i] + word[i + 2:]
+    out = [(rest or ((alg.ends[word[i]][0], VERTEX),), 1)]
     if k1 == DIRECT:
         for g in alg.group_of[n1]:
             if g != n1:
@@ -281,13 +266,13 @@ def normal_form(elem: AlgElement) -> AlgElement:
     """Rewrite every term to the irreducible basis, always at its leftmost
     redex.  The rules are confluent and each step shrinks a well-founded
     term measure, so every choice of redex gives this answer; the tests
-    check it against a rewriter that picks redexes at random."""
+    check it against a rewriter with its own rules and random redexes."""
     alg = elem.alg
     pending = dict(elem.terms)
     done: dict[Word, Coeff] = {}
     while pending:
         word, coeff = pending.popitem()
-        i = next(_redexes(alg, word), None)
+        i = _first_redex(alg, word)
         if i is None:
             _collect(done, word, coeff)
             continue
@@ -300,20 +285,12 @@ def mul(a: AlgElement, b: AlgElement) -> AlgElement:
     return normal_form(a * b)
 
 
-def add(a: AlgElement, b: AlgElement) -> AlgElement:
-    return normal_form(a + b)
-
-
-def star(a: AlgElement) -> AlgElement:
-    return normal_form(a.star())
-
-
 def equals(a: AlgElement, b: AlgElement) -> bool:
     return normal_form(a - b).is_zero
 
 
 def is_normal(elem: AlgElement) -> bool:
-    return all(next(_redexes(elem.alg, w), None) is None for w in elem.terms)
+    return all(_first_redex(elem.alg, w) is None for w in elem.terms)
 
 
 def basis_words(alg: StarAlgebra, max_len: int,
@@ -338,10 +315,8 @@ def basis_words(alg: StarAlgebra, max_len: int,
             if len(w) == max_len:
                 continue
             for l in leaving.get(alg.ends[w[-1]][1], ()):
-                two = (w[-1], l)
-                if next(_redexes(alg, two), None) is not None:
-                    continue
-                nxt.append(w + (l,))
+                if _first_redex(alg, (w[-1], l)) is None:
+                    nxt.append(w + (l,))
         layer = nxt
         if not layer:
             break
@@ -358,7 +333,7 @@ def corner(elem: AlgElement, side: str) -> AlgElement:
         level = bip.lower_set
     else:
         raise AlgebraError(f"side must be V or W, not {side!r}")
-    alg = elem.alg
-    return AlgElement(alg, {
+    ends = elem.alg.ends
+    return AlgElement(elem.alg, {
         w: c for w, c in elem.terms.items()
-        if alg.word_source(w) in level and alg.word_range(w) in level})
+        if ends[w[0]][0] in level and ends[w[-1]][1] in level})

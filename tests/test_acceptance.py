@@ -79,7 +79,7 @@ def test_criterion_2_kernel_words():
         fiber = g.base.graph.out_edges["v"]
         for e, f, g2, h in itertools.product(fiber, repeat=4):
             total += 1
-            gamma = kernel_generator(g, e, f, g2, h, _map=rmap)
+            gamma = kernel_generator(g, e, f, g2, h)
             comm = proj(f) * proj(g2) - proj(g2) * proj(f)
             want = normal_form(alg.ghost(e) * comm * alg.edge(h))
             if gamma != want:

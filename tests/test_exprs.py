@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from sepal.constructions import build_emn
-from sepal.exprs import ExprError, format_element, parse_element, parse_weighted
-from sepal.staralg import StarAlgebra, basis_words, normal_form
+from sepal.exprs import ExprError, parse_element, parse_weighted
+from sepal.staralg import StarAlgebra, basis_words, format_element, normal_form
 
 
 @pytest.fixture(scope="module")

@@ -78,7 +78,8 @@ def test_trivial_separation_covers_everything():
 def test_group_lookup_tables():
     s = SeparatedGraph.make(triangle(), {"a": [["e"], ["g"]], "b": [["f"]]})
     assert s.group_of["e"] == ("e",)
-    assert s.group_key["g"] == ("a", 1)
+    # every member of a group maps to the group's own tuple
+    assert s.group_of["g"] is s.sep["a"][1]
 
 
 def test_separation_sum_matches_fiber_size():
@@ -360,6 +361,38 @@ def test_gates_refuse_an_unhashable_name(gate, build):
     # before the gate runs, in the words validate uses for the name
     assert _refusal(lambda: gate(build())) == (
         "vertex name ['a'] is not a string")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: DirectedGraph(("v",), (e for e in [("e", "v", "v")])),
+     "DirectedGraph edges must be a tuple, not generator"),
+    (lambda: DirectedGraph("vw", ()),
+     "DirectedGraph vertices must be a tuple, not str"),
+    (lambda: DirectedGraph(("a", "b", "c"), ("abc",)),
+     "edge 'abc' is not a (name, source, range) triple"),
+    (lambda: SeparatedGraph(LOOP, [("v", (("e",),))]),
+     "SeparatedGraph separation must be a tuple, not list"),
+    (lambda: SeparatedGraph(LOOP, (("v",),)),
+     "separation entry ('v',) is not a (vertex, tuple of tuples) pair"),
+    (lambda: SeparatedGraph(LOOP, (("v", ("e",)),)),
+     "separation entry ('v', ('e',)) is not a (vertex, tuple of tuples) pair"),
+    (lambda: SeparatedGraph(LOOP, (("v", "e"),)),
+     "separation entry ('v', 'e') is not a (vertex, tuple of tuples) pair"),
+    (lambda: BipartiteSeparatedGraph(
+        SeparatedGraph.with_trivial_separation(LOOP), iter(("v",)), ()),
+     "BipartiteSeparatedGraph upper must be a tuple, not tuple_iterator"),
+    (lambda: WeightedGraph(LOOP, (("e", 1, 2),)),
+     "weight entry ('e', 1, 2) is not an (edge, weight) pair"),
+    (lambda: WeightedGraph(LOOP, ("e1",)),
+     "weight entry 'e1' is not an (edge, weight) pair"),
+], ids=["edge-generator", "vertex-str", "edge-str", "separation-list",
+        "separation-short-entry", "separation-flat-groups",
+        "separation-str-groups", "level-iterator", "weight-triple",
+        "weight-str"])
+def test_constructors_refuse_a_field_of_the_wrong_shape(build, message):
+    # each of these hashes, so without the shape rule it would build a
+    # wrong graph or make validate raise a bare ValueError
+    assert _refusal(build) == message
 
 
 def _hashable(value) -> bool:

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from sepal import staralg
 from sepal.constructions import (
     bratteli,
     build_emn,
@@ -19,9 +20,6 @@ from sepal.staralg import (
     VERTEX,
     AlgebraError,
     StarAlgebra,
-    _measure,
-    _redexes,
-    _rewrite,
     basis_words,
     corner,
     equals,
@@ -36,29 +34,69 @@ from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
 nf = normal_form
 
 
+class OracleRules:
+    """The rewrite rules of a separated graph's algebra, read straight off
+    the graph: each group's members, its greatest member as the designated
+    edge, and the ends of each edge."""
+
+    def __init__(self, sep):
+        self.graph = sep.graph
+        self.group = {e: grp for _, groups in sep.separation
+                      for grp in groups for e in grp}
+        self.designated = {max(grp) for grp in self.group.values()}
+
+    def redexes(self, word):
+        """Every position i where word[i] word[i+1] is e* f with e, f in
+        one group, or e e* with e designated."""
+        return [i for i, ((n1, k1), (n2, k2)) in enumerate(zip(word, word[1:]))
+                if (k1, k2) == (GHOST, DIRECT) and self.group[n1] == self.group[n2]
+                or (k1, k2) == (DIRECT, GHOST) and n1 == n2
+                and n1 in self.designated]
+
+    def rewrite(self, word, i):
+        """e* f -> [e = f] r(e); e e* -> s(e) - sum of g g* over the other
+        members g of the group of e."""
+        (n1, k1), (n2, _) = word[i], word[i + 1]
+        head, tail = word[:i], word[i + 2:]
+        if k1 == GHOST and n1 != n2:
+            return []
+        vertex = self.graph.rng(n1) if k1 == GHOST else self.graph.src(n1)
+        out = [(head + tail or ((vertex, VERTEX),), 1)]
+        if k1 == DIRECT:
+            out += [(head + ((g, DIRECT), (g, GHOST)) + tail, -1)
+                    for g in self.group[n1] if g != n1]
+        return out
+
+    def measure(self, word):
+        """Well-founded, and shrunk by every rewrite: shorter words first,
+        then a designated letter above its group mates at one position."""
+        return len(word), tuple((k, n in self.designated, n) for n, k in word)
+
+
 def nf_oracle(x, rng=None, max_steps=10_000):
-    """Oracle for ``normal_form``: rewrite at a redex drawn by ``rng`` (the
-    leftmost one when ``rng`` is None), check that every step shrinks the
-    well-founded term measure, and fail after ``max_steps`` steps.  The
-    rules are confluent, so every choice of redex gives one answer."""
-    alg = x.alg
+    """Oracle for ``normal_form``, with its own rules (``OracleRules``):
+    rewrite at a redex drawn by ``rng`` (the leftmost one when ``rng`` is
+    None), check that every step shrinks the term measure, and fail after
+    ``max_steps`` steps.  The rules are confluent, so every choice of redex
+    gives one answer."""
+    rules = OracleRules(x.alg.sep)
     pending = dict(x.terms)
     done = {}
     steps = 0
     while pending:
         word, coeff = pending.popitem()
-        spots = list(_redexes(alg, word))
+        spots = rules.redexes(word)
         if not spots:
             done[word] = done.get(word, 0) + coeff
             continue
         steps += 1
         assert steps <= max_steps, f"rewriting exceeded {max_steps} steps"
         i = spots[0] if rng is None else rng.choice(spots)
-        for new_word, sign in _rewrite(alg, word, i):
-            assert _measure(alg, new_word) < _measure(alg, word), \
+        for new_word, sign in rules.rewrite(word, i):
+            assert rules.measure(new_word) < rules.measure(word), \
                 "rewrite failed to shrink the term measure"
             pending[new_word] = pending.get(new_word, 0) + sign * coeff
-    return alg.element(done)
+    return x.alg.element(done)
 
 
 def mul_by_all_pairs(a, b):
@@ -155,18 +193,14 @@ def test_separated_relations_rewrite_to_zero(A23):
 
 # --- engine behaviour ---------------------------------------------------------
 
-def test_strategies_agree_and_nf_idempotent(A23):
-    rng = random.Random(42)
-    words = basis_words(A23, 3)
-    for _ in range(200):
-        a = rand_elem(A23, rng, words)
-        b = rand_elem(A23, rng, words)
-        prod = a * b
-        left = nf(prod)
-        assert nf_oracle(prod) == left
-        assert nf_oracle(prod, random.Random(rng.random())) == left
-        assert nf(left) == left
-        assert is_normal(left)
+def test_oracle_catches_a_wrong_rewrite_rule(A23, monkeypatch):
+    # a rewriter that drops one g g* term from e e* = s(e) - sum g g*
+    rewrite = staralg._rewrite
+    monkeypatch.setattr(staralg, "_rewrite",
+                        lambda alg, word, i: rewrite(alg, word, i)[:2])
+    x = A23.edge("e3") * A23.ghost("e3")
+    assert nf(x) == parse_element("v - e1 e1*", A23)
+    assert nf(x) != nf_oracle(x)
 
 
 def test_involution_and_associativity(A23):
@@ -253,6 +287,39 @@ def test_products_pair_only_words_that_meet(pair):
     assert 0 not in prod.terms.values()
 
 
+@st.composite
+def raw_products(draw):
+    """The raw product of two sums of walks over the algebra of a
+    ``bipartite_sweep()`` graph or of a tower layer of depth 1 or 2."""
+    alg = draw(st.one_of(
+        st.sampled_from(bipartite_sweep()).map(StarAlgebra),
+        st.builds(tower_layer, st.integers(0, len(TOWER_BASES) - 1),
+                  st.integers(1, 2))))
+    sides = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            start, letters, _ = draw(walks(alg))
+            terms[as_word(letters, start)] = draw(COEFFS)
+        sides.append(alg.element(terms))
+    return sides[0] * sides[1]
+
+
+A23_WORDS = parse_element("e3 e3* e3 e3* + e1* e2 f1* f2 - 2 e3 f2* f1 e2*",
+                          StarAlgebra(build_emn(2, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(prod=raw_products(), rng=st.randoms(use_true_random=False))
+@example(prod=A23_WORDS * A23_WORDS.star(), rng=random.Random(42))
+def test_strategies_agree_and_nf_idempotent(prod, rng):
+    left = nf(prod)
+    assert nf_oracle(prod) == left
+    assert nf_oracle(prod, rng) == left
+    assert nf(left) == left
+    assert is_normal(left)
+
+
 def test_mixing_carriers_rejected(A23):
     other = StarAlgebra(build_emn(1, 2))
     with pytest.raises(AlgebraError):
@@ -315,7 +382,7 @@ def test_basis_words_are_normal_and_distinct(A23):
 
 def test_basis_restricted_to_source(A23):
     for w in basis_words(A23, 2, start="w"):
-        assert A23.word_source(w) == "w"
+        assert A23.ends[w[0]][0] == "w"
 
 
 def test_basis_counts_grow(A23):
@@ -410,7 +477,7 @@ def int_elements(draw):
             word = (draw(st.sampled_from(letters)),)
             for _ in range(draw(st.integers(0, 3))):
                 nxt = [l for l in letters
-                       if alg.ends[l][0] == alg.word_range(word)]
+                       if alg.ends[l][0] == alg.ends[word[-1]][1]]
                 if not nxt:
                     break
                 word += (draw(st.sampled_from(nxt)),)
