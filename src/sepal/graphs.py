@@ -82,6 +82,15 @@ def _hashes(value) -> bool:
     return True
 
 
+def _require_kind(g, field: str, kind: type):
+    """Field ``field`` of ``g`` if its type is ``kind``, else GraphError."""
+    value = getattr(g, field)
+    if type(value) is not kind:
+        raise GraphError(f"{type(g).__name__} {field} must be a "
+                         f"{kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _require_tuple(g, field: str, size: int | None = None,
                    message: str = "") -> tuple:
     """The field ``field`` of ``g``, which must be a tuple, of tuples of
@@ -89,10 +98,7 @@ def _require_tuple(g, field: str, size: int | None = None,
     first misfit with ``message``.  A plain loop: on the 10,368 edges of a
     Bratteli layer it beats two C-level passes, and on a sweep graph's few
     it is several times faster."""
-    items = getattr(g, field)
-    if type(items) is not tuple:
-        raise GraphError(f"{type(g).__name__} {field} must be a tuple, "
-                         f"not {type(items).__name__}")
+    items = _require_kind(g, field, tuple)
     if size is not None:
         for x in items:
             if type(x) is not tuple or len(x) != size:
@@ -188,6 +194,7 @@ class SeparatedGraph:
     separation: tuple[tuple[str, tuple[tuple[str, ...], ...]], ...]
 
     def __post_init__(self):
+        _require_kind(self, "graph", DirectedGraph)
         message = "separation entry {!r} is not a (vertex, tuple of tuples) pair"
         for entry in _require_tuple(self, "separation", 2, message):
             if type(entry[1]) is not tuple or not all(
@@ -253,6 +260,7 @@ class BipartiteSeparatedGraph:
     lower: tuple[str, ...]
 
     def __post_init__(self):
+        _require_kind(self, "base", SeparatedGraph)
         _require_tuple(self, "upper")
         _require_tuple(self, "lower")
         _require_hashable(self, (self.upper, self.lower))
@@ -324,6 +332,7 @@ class WeightedGraph:
     weights: tuple[tuple[str, int], ...]  # in edge order
 
     def __post_init__(self):
+        _require_kind(self, "graph", DirectedGraph)
         _require_tuple(self, "weights", 2,
                        "weight entry {!r} is not an (edge, weight) pair")
         _require_hashable(self, self.weights)

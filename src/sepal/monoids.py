@@ -8,7 +8,11 @@ search and is honest about truncation: ``no`` is only reported when one
 side's congruence class was exhausted without meeting the other.
 
 ``grothendieck`` computes the universal abelian group G(M) by Smith normal
-form, and ``class_order`` the order of a generator's class in it.
+form, and ``class_order`` the order of a generator's class in it.  The
+Smith loop pivots on an entry of least magnitude and starts over until the
+pivot is alone in its row and column and divides every entry.  It ends, as
+each restart leaves a nonzero entry smaller than the last pivot or adds a
+row holding an entry that the pivot does not divide.
 ``leavitt_type`` scans for the least (p, q) with p·a ~ (p+q)·a.  The scan
 is pruned by ord([a]) in G(M): a congruence p·a ~ (p+q)·a gives q·[a] = 0,
 so only multiples q of ord([a]) can answer yes, and when [a] has infinite
@@ -41,10 +45,16 @@ class MonoidPresentation:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        n = len(self.generators)  # lengths only: signs cost several times more
+        if any(len(l) != n or len(r) != n for l, r in self.relations):
+            raise GraphError(f"relation sides must have {n} entries")
         if not self.labels:
             object.__setattr__(
                 self, "labels",
                 tuple(f"rel{i}" for i in range(len(self.relations))))
+        elif len(self.labels) != len(self.relations):
+            raise GraphError(f"{len(self.labels)} labels for "
+                             f"{len(self.relations)} relations")
 
     def index(self, name: str) -> int:
         try:
@@ -140,74 +150,45 @@ def quotient_presentation(p: MonoidPresentation,
     dead = {p.index(name) for name in kill}
     keep = [i for i in range(len(p.generators)) if i not in dead]
     gens = tuple(p.generators[i] for i in keep)
-    rels = []
-    labels = []
-    for (l, r), lab in zip(p.relations, p.labels):
-        l2 = tuple(l[i] for i in keep)
-        r2 = tuple(r[i] for i in keep)
-        if l2 != r2:
-            rels.append((l2, r2))
-            labels.append(lab)
-    return MonoidPresentation(gens, tuple(rels), tuple(labels))
+    rels = [(tuple(l[i] for i in keep), tuple(r[i] for i in keep), lab)
+            for (l, r), lab in zip(p.relations, p.labels)]
+    rels = [rel for rel in rels if rel[0] != rel[1]]
+    return MonoidPresentation(gens, tuple((l, r) for l, r, _ in rels),
+                              tuple(lab for _, _, lab in rels))
 
 
 def eliminate_identifications(p: MonoidPresentation) -> MonoidPresentation:
-    """Tietze-reduce: while some relation equates a generator with a vector
-    not using it, substitute and drop the generator (the later one when two
-    generators are equated), keeping the presented monoid."""
+    """Tietze-reduce by one rule, keeping the presented monoid.  Each pass
+    drops the relations l = l, then takes the largest generator index i
+    such that one side of a relation is the unit vector e_i and the other
+    side has no i-th entry (the first such relation on a tie), substitutes
+    that other side for generator i and deletes the generator.  Taking the
+    largest index keeps the low-index (original) generators alive."""
     gens = list(p.generators)
-    rels = [(list(l), list(r)) for l, r in p.relations]
-    labels = list(p.labels)
-
-    def unit_index(vec: list[int]) -> int | None:
-        if sum(vec) == 1:
-            return vec.index(1)
-        return None
-
+    rels = [(list(l), list(r), lab)
+            for (l, r), lab in zip(p.relations, p.labels)]
     while True:
-        # keep low-index (original) generators alive: of all possible
-        # eliminations this pass, take the one removing the largest index
-        victim = None
-        for k, (l, r) in enumerate(rels):
-            il, ir = unit_index(l), unit_index(r)
-            if il is not None and ir is not None:
-                if il == ir:
-                    victim = (len(gens), k, None, None)  # trivial relation
-                    break
-                i = max(il, ir)
-                repl = l if i == ir else r
-                cand = (i, k, i, list(repl))
-            elif il is not None and r[il] == 0:
-                cand = (il, k, il, list(r))
-            elif ir is not None and l[ir] == 0:
-                cand = (ir, k, ir, list(l))
-            else:
-                continue
-            if victim is None or cand[0] > victim[0]:
-                victim = cand
-        if victim is None:
+        rels = [rel for rel in rels if rel[0] != rel[1]]
+        i, other = -1, None
+        for l, r, _ in rels:
+            for unit, side in ((l, r), (r, l)):
+                if sum(unit) == 1:
+                    k = unit.index(1)
+                    if k > i and not side[k]:
+                        i, other = k, side
+        if other is None:
             break
-        _, k, i, repl = victim
-        del rels[k], labels[k]
-        if i is None:
-            continue
         del gens[i]
-        repl_rest = repl[:i] + repl[i + 1:]
-        for l, r in rels:
+        rest = other[:i] + other[i + 1:]
+        for l, r, _ in rels:
             for vec in (l, r):
-                c = vec[i]
-                del vec[i]
+                c = vec.pop(i)
                 if c:
-                    for j, x in enumerate(repl_rest):
+                    for j, x in enumerate(rest):
                         vec[j] += c * x
-    out_rels = []
-    out_labels = []
-    for (l, r), lab in zip(rels, labels):
-        if l != r:
-            out_rels.append((tuple(l), tuple(r)))
-            out_labels.append(lab)
-    return MonoidPresentation(tuple(gens), tuple(out_rels),
-                              tuple(out_labels))
+    return MonoidPresentation(tuple(gens),
+                              tuple((tuple(l), tuple(r)) for l, r, _ in rels),
+                              tuple(lab for _, _, lab in rels))
 
 
 # ---------------------------------------------------------------------------
@@ -332,66 +313,48 @@ class AbelianGroupShape:
 
 def smith_normal_form(rows: Sequence[Sequence[int]],
                       width: int) -> list[int]:
-    """Diagonal of the Smith normal form, nonnegative, each entry dividing
-    the next.  Zero rows are fine; the matrix may be empty."""
+    """Nonzero diagonal of the Smith normal form, positive, each entry
+    dividing the next.  Zero rows are fine; the matrix may be empty.
+
+    One rule: take the nonzero entry of least magnitude (the first in row
+    order on a tie) as the pivot, reduce the other entries of its column,
+    then those of its row.  If a remainder is left, start over; else if the
+    pivot does not divide some entry, add that entry's row to the pivot row
+    and start over; else record |pivot| and delete its row and column.
+    This ends: a remainder is smaller than the pivot, and an added row
+    leaves the pivot in place beside an entry it does not divide, so the
+    next pivot is smaller, earlier in row order, or the same one again,
+    which then leaves a remainder.
+    """
     a = [list(map(int, row)) for row in rows]
-    m, n = len(a), width
-    for row in a:
-        if len(row) != n:
-            raise GraphError("ragged matrix")
+    if any(len(row) != width for row in a):
+        raise GraphError("ragged matrix")
     diag: list[int] = []
-    k = 0
-    while k < min(m, n):
-        # find a pivot of least magnitude
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if a[i][j] and (best is None
-                                or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        i0, j0 = best
-        a[k], a[i0] = a[i0], a[k]
+    while cells := [(abs(x), i, j) for i, row in enumerate(a)
+                    for j, x in enumerate(row) if x]:
+        least, i0, j0 = min(cells)
+        top, pivot = a[i0], a[i0][j0]
         for row in a:
-            row[k], row[j0] = row[j0], row[k]
-        # clear the pivot row and column by euclidean steps
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, m):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    for j in range(k, n):
-                        a[i][j] -= q * a[k][j]
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        dirty = True
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    for row in a:
-                        row[j] -= q * row[k]
-                    if a[k][j]:
-                        for row in a:
-                            row[k], row[j] = row[j], row[k]
-                        dirty = True
-        # absorb any entry the pivot does not divide yet
-        pivot = a[k][k]
-        fix = None
-        for i in range(k + 1, m):
-            for j in range(k + 1, n):
-                if a[i][j] % pivot:
-                    fix = i
-                    break
-            if fix is not None:
-                break
-        if fix is not None:
-            for j in range(k, n):
-                a[k][j] += a[fix][j]
+            if row is not top and row[j0]:
+                q = row[j0] // pivot
+                row[:] = [x - q * y for x, y in zip(row, top)]
+        movers = [row for row in a if row[j0]]  # the rows a column step moves
+        for j, x in enumerate(top):
+            if j != j0 and x:
+                q = x // pivot
+                for row in movers:
+                    row[j] -= q * row[j0]
+        if len(movers) > 1 or top.count(0) < len(top) - 1:
+            continue  # a remainder, smaller than the pivot
+        fix = least > 1 and next(  # a unit pivot divides every entry
+            (row for row in a if any(x % least for x in row)), None)
+        if fix:
+            top[:] = map(add, top, fix)
             continue
-        diag.append(abs(pivot))
-        k += 1
+        diag.append(least)
+        del a[i0]
+        for row in a:
+            del row[j0]
     return diag
 
 

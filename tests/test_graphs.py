@@ -385,13 +385,21 @@ def test_gates_refuse_an_unhashable_name(gate, build):
      "weight entry ('e', 1, 2) is not an (edge, weight) pair"),
     (lambda: WeightedGraph(LOOP, ("e1",)),
      "weight entry 'e1' is not an (edge, weight) pair"),
+    (lambda: validate(SeparatedGraph("x", ())),
+     "SeparatedGraph graph must be a DirectedGraph, not str"),
+    (lambda: validate(WeightedGraph("x", ())),
+     "WeightedGraph graph must be a DirectedGraph, not str"),
+    (lambda: validate(BipartiteSeparatedGraph(LOOP, ("v",), ())),
+     "BipartiteSeparatedGraph base must be a SeparatedGraph, "
+     "not DirectedGraph"),
 ], ids=["edge-generator", "vertex-str", "edge-str", "separation-list",
         "separation-short-entry", "separation-flat-groups",
         "separation-str-groups", "level-iterator", "weight-triple",
-        "weight-str"])
+        "weight-str", "separated-inner-str", "weighted-inner-str",
+        "bipartite-inner-directed"])
 def test_constructors_refuse_a_field_of_the_wrong_shape(build, message):
     # each of these hashes, so without the shape rule it would build a
-    # wrong graph or make validate raise a bare ValueError
+    # wrong graph or make validate raise a bare ValueError or AttributeError
     assert _refusal(build) == message
 
 

@@ -88,6 +88,122 @@ def test_eliminate_drops_trivial_relations():
     assert slim.relations == ()
 
 
+def eliminate_by_cases(p: MonoidPresentation) -> MonoidPresentation:
+    """The Tietze reduction as first written, one case per kind of relation
+    (kept as the reference for ``eliminate_identifications``): while some
+    relation equates a generator with a vector not using it, substitute and
+    drop the generator (the later one when two generators are equated),
+    keeping the presented monoid."""
+    gens = list(p.generators)
+    rels = [(list(l), list(r)) for l, r in p.relations]
+    labels = list(p.labels)
+
+    def unit_index(vec: list[int]) -> int | None:
+        if sum(vec) == 1:
+            return vec.index(1)
+        return None
+
+    while True:
+        # keep low-index (original) generators alive: of all possible
+        # eliminations this pass, take the one removing the largest index
+        victim = None
+        for k, (l, r) in enumerate(rels):
+            il, ir = unit_index(l), unit_index(r)
+            if il is not None and ir is not None:
+                if il == ir:
+                    victim = (len(gens), k, None, None)  # trivial relation
+                    break
+                i = max(il, ir)
+                repl = l if i == ir else r
+                cand = (i, k, i, list(repl))
+            elif il is not None and r[il] == 0:
+                cand = (il, k, il, list(r))
+            elif ir is not None and l[ir] == 0:
+                cand = (ir, k, ir, list(l))
+            else:
+                continue
+            if victim is None or cand[0] > victim[0]:
+                victim = cand
+        if victim is None:
+            break
+        _, k, i, repl = victim
+        del rels[k], labels[k]
+        if i is None:
+            continue
+        del gens[i]
+        repl_rest = repl[:i] + repl[i + 1:]
+        for l, r in rels:
+            for vec in (l, r):
+                c = vec[i]
+                del vec[i]
+                if c:
+                    for j, x in enumerate(repl_rest):
+                        vec[j] += c * x
+    out_rels = []
+    out_labels = []
+    for (l, r), lab in zip(rels, labels):
+        if l != r:
+            out_rels.append((tuple(l), tuple(r)))
+            out_labels.append(lab)
+    return MonoidPresentation(tuple(gens), tuple(out_rels),
+                              tuple(out_labels))
+
+
+@st.composite
+def unit_heavy_presentations(draw):
+    """At most 6 generators and 6 relations with entries 0-2; a side is a
+    unit vector half the time and some relations are trivial."""
+    n = draw(st.integers(1, 6))
+    side = st.one_of(
+        st.integers(0, n - 1).map(lambda i: tuple(int(j == i)
+                                                  for j in range(n))),
+        st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple))
+    rel = st.one_of(st.tuples(side, side), side.map(lambda v: (v, v)))
+    rels = draw(st.lists(rel, max_size=6))
+    return MonoidPresentation(tuple(f"g{i}" for i in range(n)), tuple(rels))
+
+
+def _same_reduction(p):
+    got, want = eliminate_identifications(p), eliminate_by_cases(p)
+    assert (got.generators, got.relations, got.labels) == (
+        want.generators, want.relations, want.labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_heavy_presentations())
+def test_eliminate_matches_the_case_by_case_reduction(p):
+    _same_reduction(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(weighted_sweep(2, 3, 2)))
+def test_eliminate_matches_the_case_by_case_reduction_on_companions(g):
+    _same_reduction(m1_of(g))
+
+
+MISLABELED = (("a", "b", "c"), (((1, 0, 0), (0, 1, 0)),
+                                ((0, 1, 0), (0, 0, 2))), ("only",))
+SHORT_SIDE = (("a", "b"), (((1,), (0, 1)),))
+
+
+@pytest.mark.parametrize("fields, use, message", [
+    (MISLABELED, lambda p: quotient_presentation(p, []),
+     "1 labels for 2 relations"),
+    (MISLABELED, eliminate_identifications, "1 labels for 2 relations"),
+    (SHORT_SIDE, grothendieck, "relation sides must have 2 entries"),
+    (SHORT_SIDE, lambda p: congruent(p, (1, 0), (0, 1)),
+     "relation sides must have 2 entries"),
+], ids=["labels-quotient", "labels-eliminate", "short-grothendieck",
+        "short-congruent"])
+def test_presentation_refuses_a_misshapen_relation_list(fields, use, message):
+    # without the check the quotient dropped the unlabeled relation (Z for
+    # Z x Z), the reduction and G(M) raised IndexError, and the word
+    # problem answered yes through the vector (0,)
+    with pytest.raises(GraphError) as exc:
+        use(MonoidPresentation(*fields))
+    assert str(exc.value) == message
+
+
 # --- vectors ----------------------------------------------------------------------
 
 def test_vector_round_trip(wmax22):
@@ -197,19 +313,47 @@ def _det(a):
                for j in range(n))
 
 
+dense_matrices = st.integers(1, 5).flatmap(lambda width: st.tuples(
+    st.lists(st.lists(st.integers(-30, 30), min_size=width, max_size=width),
+             min_size=1, max_size=5),
+    st.just(width)))
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
-                min_size=1, max_size=3))
-def test_smith_diagonal_matches_minor_gcds(rows):
-    diag = smith_normal_form(rows, 3)
+@given(dense_matrices)
+def test_smith_diagonal_matches_minor_gcds(matrix):
+    rows, width = matrix
+    diag = smith_normal_form(rows, width)
     for d1, d2 in zip(diag, diag[1:]):
         assert d2 % d1 == 0
     prod = 1
     for k, d in enumerate(diag, start=1):
         prod *= d
-        assert prod == _minor_gcd(rows, 3, k)
-    if len(diag) < min(len(rows), 3):
-        assert _minor_gcd(rows, 3, len(diag) + 1) == 0
+        assert prod == _minor_gcd(rows, width, k)
+    if len(diag) < min(len(rows), width):
+        assert _minor_gcd(rows, width, len(diag) + 1) == 0
+
+
+# dense matrices whose entries grow past 90 digits under a pivot rule that
+# does not restart on the least entry, so that the Smith loop never ends
+DENSE_5X5 = [[25, 15, -26, -9, -30], [-15, -30, -4, -14, -18],
+             [2, -24, -19, 6, -20], [-17, -12, 20, 8, -22],
+             [-25, -7, 11, 29, -11]]
+DENSE_6X8 = [[2, -13, 27, -28, 25, -29, -7, -1],
+             [29, -10, 28, -6, -3, 27, 26, 3],
+             [-20, 5, -19, -15, -16, -29, -19, -10],
+             [-19, -22, 2, 2, -7, 2, 13, 5],
+             [-19, 27, -2, 20, -4, 17, 3, 28],
+             [28, 18, -7, 20, 7, -8, -7, 24]]
+
+
+def test_smith_normal_form_of_dense_matrices():
+    assert smith_normal_form(DENSE_5X5, 5) == [1, 1, 1, 1, 20152068]
+    assert smith_normal_form(DENSE_6X8, 8) == [1, 1, 1, 1, 1, 3]
+    p = MonoidPresentation(tuple("abcde"), tuple(
+        (tuple(max(x, 0) for x in row), tuple(max(-x, 0) for x in row))
+        for row in DENSE_5X5))
+    assert str(grothendieck(p)) == "Z/20152068"
 
 
 def test_grothendieck_examples(e23, omega0_35):
