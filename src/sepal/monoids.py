@@ -454,18 +454,47 @@ def order_ideal_oracle(p: MonoidPresentation) -> list[frozenset[str]]:
     supp(l) ⊆ S exactly when supp(r) ⊆ S.  The filter is exact: a rewrite
     l -> r leads a vector supported in S out of S only if supp(l) ⊆ S
     and supp(r) ⊄ S.
+
+    The qualifying sets are the closed sets of the implications
+    supp(l) -> supp(r) and supp(r) -> supp(l), so Ganter's NextClosure
+    lists them in lectic order with at most k closures per set found
+    (B. Ganter, "Two basic algorithms in concept analysis", 1984).
+    Finding more than 2^16 of them is refused.
     """
     k = len(p.generators)
-    if k > 16:
-        raise cons.ResourceLimitError(f"oracle over 2^{k} subsets refused")
-    supports = [(frozenset(i for i, c in enumerate(l) if c),
-                 frozenset(i for i, c in enumerate(r) if c))
-                for l, r in p.relations]
-    out = []
-    for bits in itertools.product((0, 1), repeat=k):
-        s = frozenset(i for i, b in enumerate(bits) if b)
-        if all((sl <= s) == (sr <= s) for sl, sr in supports):
-            out.append(frozenset(p.generators[i] for i in s))
+    rules = []
+    for l, r in p.relations:
+        ml = sum(1 << i for i, c in enumerate(l) if c)
+        mr = sum(1 << i for i, c in enumerate(r) if c)
+        rules += [(ml, mr), (mr, ml)]
+
+    def close(s: int) -> int:
+        grown = True
+        while grown:
+            grown = False
+            for a, b in rules:
+                if s & a == a and s | b != s:
+                    s |= b
+                    grown = True
+        return s
+
+    found = [close(0)]
+    while found[-1] != (1 << k) - 1:
+        closed = found[-1]
+        for i in reversed(range(k)):
+            bit = 1 << i
+            if closed & bit:
+                continue
+            low = closed & (bit - 1)
+            nxt = close(low | bit)
+            if nxt & (bit - 1) == low:
+                break
+        found.append(nxt)
+        if len(found) > 1 << 16:
+            raise cons.ResourceLimitError(
+                f"oracle refused after {len(found)} order ideals")
+    out = [frozenset(g for i, g in enumerate(p.generators) if s >> i & 1)
+           for s in found]
     return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
 
 

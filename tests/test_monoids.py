@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -568,6 +569,112 @@ def ideals_by_box_scan(p, extra=0):
     return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
 
 
+def ideals_by_subset_filter(p):
+    """Every one of the 2^k generator subsets S, kept when supp(l) ⊆ S
+    exactly when supp(r) ⊆ S for every relation l = r."""
+    k = len(p.generators)
+    supports = [(frozenset(i for i, c in enumerate(l) if c),
+                 frozenset(i for i, c in enumerate(r) if c))
+                for l, r in p.relations]
+    out = []
+    for bits in itertools.product((0, 1), repeat=k):
+        s = frozenset(i for i, b in enumerate(bits) if b)
+        if all((sl <= s) == (sr <= s) for sl, sr in supports):
+            out.append(frozenset(p.generators[i] for i in s))
+    return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
+
+
+def ideals_by_next_closure(p, both_ways=True, lectic=True):
+    """NextClosure as in ``order_ideal_oracle``, with switches that drop
+    the supp(r) -> supp(l) rules or the lectic check, for the mutant test."""
+    k = len(p.generators)
+    rules = [(sum(1 << i for i, c in enumerate(l) if c),
+              sum(1 << i for i, c in enumerate(r) if c))
+             for l, r in p.relations]
+    if both_ways:
+        rules += [(b, a) for a, b in rules]
+
+    def close(s):
+        grown = True
+        while grown:
+            grown = False
+            for a, b in rules:
+                if s & a == a and s | b != s:
+                    s |= b
+                    grown = True
+        return s
+
+    found = [close(0)]
+    while found[-1] != (1 << k) - 1:
+        closed = found[-1]
+        for i in reversed(range(k)):
+            bit = 1 << i
+            if not closed & bit:
+                low = closed & (bit - 1)
+                nxt = close(low | bit)
+                if not lectic or nxt & (bit - 1) == low:
+                    break
+        found.append(nxt)
+    out = [frozenset(g for i, g in enumerate(p.generators) if s >> i & 1)
+           for s in found]
+    return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
+
+
+def test_oracle_tells_the_next_closure_mutants_apart():
+    # c = a + b: the ideals are {}, {a}, {b} and {a, b, c}.  One-way rules
+    # also admit {a, b}; without the lectic check the walk jumps from {}
+    # to the closure of {c}, which is everything
+    p = pres("abc", ({"c": 1}, {"a": 1, "b": 1}))
+    want = [frozenset(), frozenset("a"), frozenset("b"), frozenset("abc")]
+    assert order_ideal_oracle(p) == ideals_by_next_closure(p) == want
+    assert ideals_by_next_closure(p, both_ways=False) == \
+        want[:3] + [frozenset("ab"), frozenset("abc")]
+    assert ideals_by_next_closure(p, lectic=False) == [frozenset(),
+                                                       frozenset("abc")]
+
+
+@st.composite
+def ideal_presentations(draw):
+    """1-8 generators and at most 6 relations with entries 0-2; a side is
+    often zero, and half the right sides take in the left side's support."""
+    n = draw(st.integers(1, 8))
+    vec = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    side = st.one_of(st.just((0,) * n), vec, vec)
+    rels = []
+    for _ in range(draw(st.integers(0, 6))):
+        l, r = draw(side), draw(side)
+        if draw(st.booleans()):
+            r = tuple(max(a, b) for a, b in zip(l, r))
+        rels.append((l, r))
+    return MonoidPresentation(tuple(f"g{i}" for i in range(n)), tuple(rels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_presentations())
+def test_order_ideal_oracle_matches_subset_filter(p):
+    assert order_ideal_oracle(p) == ideals_by_subset_filter(p)
+
+
+@functools.cache
+def _by_companion_size() -> dict[int, list]:
+    """weighted_sweep(3, 4, 3) keyed by the generator count of ``m1_of``:
+    one per vertex plus one per weight slot."""
+    pools: dict[int, list] = {}
+    for g in weighted_sweep(3, 4, 3):
+        pools.setdefault(len(g.vertices) + sum(g.w.values()), []).append(g)
+    return pools
+
+
+# sizes first, so the few small companions are drawn as often as the many
+# large ones
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12).flatmap(
+    lambda size: st.sampled_from(_by_companion_size()[size])))
+def test_order_ideal_oracle_matches_subset_filter_on_companions(g):
+    p = m1_of(g)
+    assert order_ideal_oracle(p) == ideals_by_subset_filter(p)
+
+
 vectors = st.lists(st.integers(0, 2), min_size=4, max_size=4).map(tuple)
 
 
@@ -589,6 +696,36 @@ def test_oracle_guard():
     big = MonoidPresentation(tuple(f"g{i}" for i in range(17)), ())
     with pytest.raises(cons.ResourceLimitError):
         order_ideal_oracle(big)
+
+
+def test_oracle_refusal_counts_the_sets_found():
+    big = MonoidPresentation(tuple(f"g{i}" for i in range(17)), ())
+    with pytest.raises(cons.ResourceLimitError) as info:
+        order_ideal_oracle(big)
+    assert str(info.value) == "oracle refused after 65537 order ideals"
+
+
+def test_oracle_answers_a_long_chain():
+    # g0 = g1 = ... = g29: thirty generators, but only two ideals
+    gens = [f"g{i}" for i in range(30)]
+    chain = pres(gens, *(({a: 1}, {b: 1}) for a, b in zip(gens, gens[1:])))
+    assert order_ideal_oracle(chain) == [frozenset(), frozenset(gens)]
+
+
+def test_oracle_never_reads_the_graph_side(monkeypatch):
+    # the benchmark checks order_ideals (enumerate_hsat) against the oracle,
+    # which means something only while the oracle reads the presentation
+    graphs = weighted_sweep(2, 3, 2)[::40]
+    cases = [(m1_of(g), [e.vertices for e in order_ideals(g)])
+             for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read the graph side")
+
+    for name in ("enumerate_hsat", "hsat_closure", "is_hsat"):
+        monkeypatch.setattr(cons, name, refuse)
+    for p, want in cases:
+        assert order_ideal_oracle(p) == want
 
 
 # --- idempotent realizations -----------------------------------------------------------------
