@@ -136,7 +136,11 @@ def _parse(text: str, names: list[str]):
 
 
 def parse_element(text: str, alg: StarAlgebra) -> AlgElement:
-    """Parse over the vertex and edge names of a separated-graph algebra."""
+    """Parse over the vertex and edge names of a separated-graph algebra.
+
+    A term is the product of its factors under ``*`` of the algebra, so
+    factors that do not meet give 0 (``e1 e1`` over E(2,3)), and so does a
+    ghost followed by another edge of its group (``e1* e2``)."""
     d = alg.sep.graph
     names = list(d.vertices) + list(d.edge_names)
     out = alg.zero()

@@ -13,15 +13,20 @@ Every question about where a word starts and ends reads one table,
 ``StarAlgebra.ends``, which maps each letter to its (source, range): a
 vertex letter to (v, v), a direct letter e to (s(e), r(e)) and a ghost
 letter e* to (r(e), s(e)).  ``element`` accepts only words whose letters
-meet, and a product groups its right operand by source vertex once and
-pairs each left word only with the group at that word's range, so words
-that do not compose are never paired.  ``normal_form`` rewrites against
-two local patterns:
+meet.  ``normal_form`` rewrites against two local patterns:
 
 * a ghost letter followed by a direct letter of the same group collapses
-  to the range vertex (equal edges) or kills the term (distinct edges);
+  to the range vertex (equal edges) or kills the term (distinct edges):
+  e* f = δ_ef r(e);
 * the pair e e* for the designated edge e of a group expands to the source
   vertex minus the matching pairs g g* over the other group members.
+
+A product applies the first rule where two words meet, and nothing else.
+It groups its right operand by source vertex, then by the group of a
+direct first letter, and pairs each left word only with the words that
+start where it ends.  A left word ending in e* skips the bucket of e's
+group and splices only with the right words that start with e, so a sum
+over a group of g edges times its adjoint tries g pairs, not g².
 
 Two tables hold the groups.  ``group_of``, the graph's own, maps each edge
 to its group tuple, one shared object per group, so two letters share a
@@ -133,10 +138,13 @@ def as_coeff(c) -> Coeff:
 class AlgElement:
     """Immutable-by-convention linear combination of words.
 
-    The arithmetic operators are raw: ``+``, ``-`` and ``*`` (the product
-    of two elements) collect words but never rewrite, and ``scale``
-    multiplies by a scalar.  Use ``normal_form``, ``mul`` or ``equals`` for
-    normalized results.
+    The arithmetic operators are raw but for one rule: ``+`` and ``-``
+    collect words and never rewrite, and ``*`` (the product of two
+    elements) applies e* f = δ_ef r(e) where a left word ending in e* meets
+    a right word starting with f in e's group, and nothing else; the e e*
+    expansion and every redex inside a word stay with ``normal_form``.
+    ``scale`` multiplies by a scalar.  Use ``normal_form``, ``mul`` or
+    ``equals`` for normalized results.
     """
 
     __slots__ = ("alg", "terms")
@@ -174,20 +182,43 @@ class AlgElement:
 
     def __mul__(self, other: "AlgElement") -> "AlgElement":
         self._need_same(other)
-        ends = self.alg.ends
-        by_source: dict[str, list[tuple[Word, Coeff]]] = {}
+        alg = self.alg
+        ends, group_of = alg.ends, alg.group_of
+        # right words by source vertex: those that start with a ghost or a
+        # vertex in one list, those that start with a direct letter in one
+        # bucket per group (named by its first edge) and again by that letter
+        loose: dict[str, list[tuple[Word, Coeff]]] = {}
+        grouped: dict[str, dict[str, list[tuple[Word, Coeff]]]] = {}
+        by_first: dict[str, list[tuple[Word, Coeff]]] = {}
         for wb, cb in other.terms.items():
-            by_source.setdefault(ends[wb[0]][0], []).append((wb, cb))
+            name, kind = first = wb[0]
+            if kind == DIRECT:
+                grouped.setdefault(ends[first][0], {}).setdefault(
+                    group_of[name][0], []).append((wb, cb))
+                by_first.setdefault(name, []).append((wb, cb))
+            else:
+                loose.setdefault(ends[first][0], []).append((wb, cb))
         out: dict[Word, Coeff] = {}
         for wa, ca in self.terms.items():
-            group = by_source.get(ends[wa[-1]][1], ())
-            if wa[0][1] == VERTEX:  # v b = b for every b that starts at v
-                for wb, cb in group:
-                    _collect(out, wb, ca * cb)
-                continue
-            for wb, cb in group:  # a u = a for the vertex u where a ends
-                _collect(out, wa if wb[0][1] == VERTEX else wa + wb, ca * cb)
-        return AlgElement(self.alg, out)
+            name, kind = last = wa[-1]
+            v = ends[last][1]
+            buckets = grouped.get(v)
+            head = () if kind == VERTEX else wa  # v b = b
+            for wb, cb in loose.get(v, ()):  # a u = a for the vertex u = v
+                _collect(out, wa if head and wb[0][1] == VERTEX
+                         else head + wb, ca * cb)
+            for key, bucket in buckets.items() if buckets else ():
+                # e* f with f in e's group is left to the seam rule below,
+                # which reads only the words that start with e
+                if kind == GHOST and _ghost_direct(alg, name, key) is not None:
+                    continue
+                for wb, cb in bucket:
+                    _collect(out, head + wb, ca * cb)
+            if kind == GHOST:  # h e* . e t = h t, or r(e) when both are empty
+                for wb, cb in by_first.get(name, ()):
+                    for u in _ghost_direct(alg, name, name):
+                        _collect(out, wa[:-1] + wb[1:] or u, ca * cb)
+        return AlgElement(alg, out)
 
     def star(self) -> "AlgElement":
         out = {}
@@ -230,15 +261,24 @@ def format_element(elem: AlgElement) -> str:
     return " ".join(parts)
 
 
+def _ghost_direct(alg: StarAlgebra, e: str, f: str) -> tuple[Word, ...] | None:
+    """The rule e* f = δ_ef r(e) for edges e and f of one group: the words
+    e* f becomes, the vertex word r(e) when f = e and none otherwise.  None
+    when e and f lie in different groups, where no rule applies."""
+    if alg.group_of[e] is not alg.group_of[f]:
+        return None
+    return (((alg.ends[(e, GHOST)][0], VERTEX),),) if e == f else ()
+
+
 def _first_redex(alg: StarAlgebra, word: Word) -> int | None:
     """Where the leftmost redex of ``word`` starts, or None: e* f with e, f
     in one group, or e e* with e designated."""
-    group_of, designated = alg.group_of, alg.designated
+    designated = alg.designated
     for i in range(len(word) - 1):
         n1, k1 = word[i]
         n2, k2 = word[i + 1]
         if k1 == GHOST:
-            if k2 == DIRECT and group_of[n1] is group_of[n2]:
+            if k2 == DIRECT and _ghost_direct(alg, n1, n2) is not None:
                 return i
         elif k1 == DIRECT and k2 == GHOST and n1 == n2 and n1 in designated:
             return i
@@ -246,19 +286,16 @@ def _first_redex(alg: StarAlgebra, word: Word) -> int | None:
 
 
 def _rewrite(alg: StarAlgebra, word: Word, i: int) -> list[tuple[Word, int]]:
-    n1, k1 = word[i]
-    n2, _ = word[i + 1]
-    if k1 == GHOST and n1 != n2:
-        return []
-    # e* e collapses to r(e) and e e* expands around s(e): either way the
-    # vertex is the source of the redex's first letter
+    (n1, k1), (n2, _) = word[i], word[i + 1]
     rest = word[:i] + word[i + 2:]
+    if k1 == GHOST:
+        return [(rest or v, 1) for v in _ghost_direct(alg, n1, n2)]
+    # e e* expands around s(e)
     out = [(rest or ((alg.ends[word[i]][0], VERTEX),), 1)]
-    if k1 == DIRECT:
-        for g in alg.group_of[n1]:
-            if g != n1:
-                out.append((word[:i] + ((g, DIRECT), (g, GHOST))
-                            + word[i + 2:], -1))
+    for g in alg.group_of[n1]:
+        if g != n1:
+            out.append((word[:i] + ((g, DIRECT), (g, GHOST))
+                        + word[i + 2:], -1))
     return out
 
 

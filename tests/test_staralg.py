@@ -99,11 +99,18 @@ def nf_oracle(x, rng=None, max_steps=10_000):
     return x.alg.element(done)
 
 
-def mul_by_all_pairs(a, b):
+def mul_by_all_pairs(a, b, seam=True):
     """Oracle for ``AlgElement.__mul__``: try every pair of words, read
     where each word starts and ends from the graph itself, and keep the
-    pairs that meet.  A vertex word acts as the identity on its side."""
-    d = a.alg.sep.graph
+    pairs that meet.  A vertex word acts as the identity on its side.
+    Where a word ending in e* meets a word starting with an edge f of e's
+    group (groups read from the separation), apply e* f = δ_ef r(e): drop
+    the pair for f ≠ e, and splice it, or give r(e) when nothing is left,
+    for f = e.  ``seam=False`` keeps the raw concatenation instead."""
+    sep = a.alg.sep
+    d = sep.graph
+    group = {e: grp for _, groups in sep.separation
+             for grp in groups for e in grp}
 
     def ends(letter):
         name, kind = letter
@@ -117,9 +124,15 @@ def mul_by_all_pairs(a, b):
         for wb, cb in b.terms.items():
             if ends(wa[-1])[1] != ends(wb[0])[0]:
                 continue
-            if wa[0][1] == VERTEX:
+            (n1, k1), (n2, k2) = wa[-1], wb[0]
+            if (seam and (k1, k2) == (GHOST, DIRECT)
+                    and group[n1] == group[n2]):
+                if n1 != n2:
+                    continue
+                w = wa[:-1] + wb[1:] or ((d.rng(n1), VERTEX),)
+            elif k1 == VERTEX:
                 w = wb
-            elif wb[0][1] == VERTEX:
+            elif k2 == VERTEX:
                 w = wa
             else:
                 w = wa + wb
@@ -228,11 +241,13 @@ def tower_layer(base: int, depth: int) -> StarAlgebra:
 
 
 @st.composite
-def walks(draw, alg):
-    """A start vertex, 0-3 edge letters that follow the graph from it, and
-    the vertex where they end."""
+def walks(draw, alg, start=None):
+    """A start vertex (``start`` if given), 0-3 edge letters that follow
+    the graph from it, and the vertex where they end."""
     d = alg.sep.graph
-    start = v = draw(st.sampled_from(d.vertices))
+    if start is None:
+        start = draw(st.sampled_from(d.vertices))
+    v = start
     letters = ()
     for _ in range(draw(st.integers(0, 3))):
         out = ([(e, DIRECT) for e in d.out_edges.get(v, ())]
@@ -249,17 +264,32 @@ def as_word(letters, vertex):
     return letters if letters else ((vertex, VERTEX),)
 
 
+def letters_star(letters):
+    return tuple((n, GHOST if k == DIRECT else DIRECT)
+                 for n, k in reversed(letters))
+
+
 COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
                    st.fractions(-3, 3, max_denominator=4).filter(bool))
 
 
+def carriers(depths):
+    """The algebra of a ``bipartite_sweep()`` graph or of a tower layer of
+    one of ``depths``."""
+    return st.one_of(
+        st.sampled_from(bipartite_sweep()).map(StarAlgebra),
+        st.builds(tower_layer, st.integers(0, len(TOWER_BASES) - 1),
+                  st.sampled_from(depths)))
+
+
 @st.composite
 def operand_pairs(draw):
-    """Two elements over one tower layer: words from several start
-    vertices, vertex words among them, plus one walk w split twice as
-    w = h1 t1 = h2 t2 with coefficients that cancel in the product."""
-    alg = tower_layer(draw(st.integers(0, len(TOWER_BASES) - 1)),
-                      draw(st.integers(0, 2)))
+    """Two elements over one carrier: words from several start vertices,
+    vertex words among them; one walk w split twice as w = h1 t1 = h2 t2
+    with coefficients that cancel in the product; and a word ending in e*
+    beside a word starting with an edge f of e's group, often e itself."""
+    alg = draw(carriers((0, 1, 2)))
+    d = alg.sep.graph
     sides = [{}, {}]
     for terms in sides:
         for _ in range(draw(st.integers(0, 4))):
@@ -275,6 +305,14 @@ def operand_pairs(draw):
             tail = as_word(letters[cut:], end)
             sides[0][head] = sides[0].get(head, 0) + c
             sides[1][tail] = sides[1].get(tail, 0) + k
+    e = draw(st.sampled_from(d.edge_names))
+    f = draw(st.sampled_from((e,) + alg.sep.group_of[e]))
+    _, back, _ = draw(walks(alg, d.rng(e)))
+    _, ahead, _ = draw(walks(alg, d.rng(f)))
+    head = letters_star(back) + ((e, GHOST),)
+    tail = ((f, DIRECT),) + ahead
+    sides[0][head] = sides[0].get(head, 0) + draw(COEFFS)
+    sides[1][tail] = sides[1].get(tail, 0) + draw(COEFFS)
     return alg.element(sides[0]), alg.element(sides[1])
 
 
@@ -287,14 +325,53 @@ def test_products_pair_only_words_that_meet(pair):
     assert 0 not in prod.terms.values()
 
 
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs())
+def test_seam_rule_keeps_normal_forms(pair):
+    a, b = pair
+    raw = a.alg.element(mul_by_all_pairs(a, b, seam=False))
+    assert nf(a * b) == nf(raw)
+
+
+def collapse_at_source(rule):
+    """Mutant seam rule: e* e gives s(e), not r(e)."""
+    def mutant(alg, e, f):
+        words = rule(alg, e, f)
+        return words and (((alg.ends[(e, DIRECT)][0], VERTEX),),)
+    return mutant
+
+
+def drop_every_pair(rule):
+    """Mutant seam rule: e* e dies with the rest of e's group."""
+    def mutant(alg, e, f):
+        words = rule(alg, e, f)
+        return None if words is None else ()
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [collapse_at_source, drop_every_pair])
+def test_oracles_catch_seam_mutants(A23, monkeypatch, mutant):
+    # e1* e1 collapses to w = r(e1) and e3 e2* e2 splices to e3; e1* e2
+    # and e3 e2* e1 die; e1* f1 and e3 e2* f1 cross groups and stay
+    a = A23.element({(("e1", GHOST),): 1,
+                     (("e3", DIRECT), ("e2", GHOST)): 2})
+    b = A23.edge("e1") + A23.edge("e2") + A23.edge("f1")
+    assert (a * b).terms == mul_by_all_pairs(a, b)
+    raw = A23.element(mul_by_all_pairs(a, b, seam=False))
+    assert nf(raw) == nf_oracle(raw)
+    monkeypatch.setattr(staralg, "_ghost_direct",
+                        mutant(staralg._ghost_direct))
+    assert (a * b).terms != mul_by_all_pairs(a, b)
+    assert nf(raw) != nf_oracle(raw)
+
+
 @st.composite
 def raw_products(draw):
     """The raw product of two sums of walks over the algebra of a
-    ``bipartite_sweep()`` graph or of a tower layer of depth 1 or 2."""
-    alg = draw(st.one_of(
-        st.sampled_from(bipartite_sweep()).map(StarAlgebra),
-        st.builds(tower_layer, st.integers(0, len(TOWER_BASES) - 1),
-                  st.integers(1, 2))))
+    ``bipartite_sweep()`` graph or of a tower layer of depth 1 or 2: every
+    pair of words that meet, concatenated, so that e* f and e e* redexes
+    sit at the junction as well as inside the words."""
+    alg = draw(carriers((1, 2)))
     sides = []
     for _ in range(2):
         terms = {}
@@ -302,16 +379,25 @@ def raw_products(draw):
             start, letters, _ = draw(walks(alg))
             terms[as_word(letters, start)] = draw(COEFFS)
         sides.append(alg.element(terms))
-    return sides[0] * sides[1]
+    return alg.element(mul_by_all_pairs(*sides, seam=False))
 
 
-A23_WORDS = parse_element("e3 e3* e3 e3* + e1* e2 f1* f2 - 2 e3 f2* f1 e2*",
-                          StarAlgebra(build_emn(2, 3)))
+def spelled(text):
+    """The letters of a word written as in ``format_element``."""
+    return tuple((n[:-1], GHOST) if n.endswith("*") else (n, DIRECT)
+                 for n in text.split())
+
+
+A23_WORDS = StarAlgebra(build_emn(2, 3)).element({
+    spelled("e3 e3* e3 e3*"): 1, spelled("e1* e2 f1* f2"): 1,
+    spelled("e3 f2* f1 e2*"): -2})
 
 
 @settings(max_examples=200, deadline=None)
 @given(prod=raw_products(), rng=st.randoms(use_true_random=False))
-@example(prod=A23_WORDS * A23_WORDS.star(), rng=random.Random(42))
+@example(prod=A23_WORDS.alg.element(
+             mul_by_all_pairs(A23_WORDS, A23_WORDS.star(), seam=False)),
+         rng=random.Random(42))
 def test_strategies_agree_and_nf_idempotent(prod, rng):
     left = nf(prod)
     assert nf_oracle(prod) == left
