@@ -45,7 +45,6 @@ from .staralg import (
 from .homs import (
     GeneratorMap,
     RelationSet,
-    apply_map,
     evaluate,
     ideal_generators,
     kernel_generator,

@@ -19,8 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graphs import WeightedGraph, as_weighted
-from .homs import GenExpr, slot_name
-from .staralg import AlgElement, StarAlgebra
+from .homs import Terms, slot_name
+from .staralg import AlgElement, StarAlgebra, _collect
 
 _IDENT = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
@@ -159,12 +159,15 @@ def parse_element(text: str, alg: StarAlgebra) -> AlgElement:
     return out
 
 
-def parse_weighted(text: str, g: WeightedGraph) -> GenExpr:
-    """Parse over the generators of a weighted graph: vertices and e.i."""
+def parse_weighted(text: str, g: WeightedGraph) -> Terms:
+    """Parse over the generators of a weighted graph: vertices and e.i.
+
+    The result is a term dict as ``homs.evaluate`` reads it: like words
+    are collected and zero terms dropped."""
     g = as_weighted(g)
     d = g.graph
     names = list(d.vertices) + list(d.edge_names)
-    expr = GenExpr.zero()
+    terms: Terms = {}
     for coeff, factors in _parse(text, names):
         word = []
         for name, index, starred, at in factors:
@@ -181,6 +184,6 @@ def parse_weighted(text: str, g: WeightedGraph) -> GenExpr:
                     f"index {index} out of range for {name!r} "
                     f"(weight {g.w[name]})")
             word.append((slot_name(name, index), starred))
-        expr = expr + GenExpr({tuple(word): coeff})
-    return expr
+        _collect(terms, tuple(word), coeff)
+    return terms
 

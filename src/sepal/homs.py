@@ -1,9 +1,12 @@
 """Relation families, generator maps, and verification of algebra maps.
 
 A relation family is a labeled list of formal expressions in named
-generators that must vanish.  A generator map assigns each generator an
-element of a concrete star algebra; ``verify`` substitutes and normalizes,
-reporting every nonzero residue by label.
+generators that must vanish.  Each expression is a plain term dict
+``{word: coeff}``: a word is a tuple of (generator, starred) pairs, the
+generator starred when the flag is true; each coefficient is an ``int`` or
+a ``Fraction``, and no coefficient is zero.  A generator map assigns each
+generator an element of a concrete star algebra; ``verify`` substitutes
+and normalizes, reporting every nonzero residue by label.
 
 The four bundled maps:
 
@@ -46,80 +49,14 @@ from .staralg import (
 )
 
 GenWord = tuple[tuple[str, bool], ...]
-
-
-class GenExpr:
-    """Formal combination of words in named generators.
-
-    Coefficients are integers; an exact ``Fraction`` is kept when a caller
-    supplies one.  They are coerced once, by the public constructor;
-    ``gen``, ``word``, ``zero`` and the arithmetic build their term dicts
-    from coefficients that are already coerced and drop zeros as they go.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[GenWord, Coeff] | None = None):
-        self.terms = {w: as_coeff(c) for w, c in (terms or {}).items() if c}
-
-    @classmethod
-    def _of(cls, terms: dict[GenWord, Coeff]) -> "GenExpr":
-        # coefficients already coerced, no zeros
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
-
-    @staticmethod
-    def gen(name: str, starred: bool = False) -> "GenExpr":
-        return GenExpr._of({((name, starred),): 1})
-
-    @staticmethod
-    def word(*items: tuple[str, bool]) -> "GenExpr":
-        return GenExpr._of({tuple(items): 1})
-
-    @staticmethod
-    def zero() -> "GenExpr":
-        return GenExpr._of({})
-
-    def __add__(self, other: "GenExpr") -> "GenExpr":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            _collect(terms, w, c)
-        return GenExpr._of(terms)
-
-    def __neg__(self) -> "GenExpr":
-        return GenExpr._of({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "GenExpr") -> "GenExpr":
-        return self + (-other)
-
-    def __mul__(self, other: "GenExpr") -> "GenExpr":
-        terms: dict[GenWord, Coeff] = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                _collect(terms, wa + wb, ca * cb)
-        return GenExpr._of(terms)
-
-    def star(self) -> "GenExpr":
-        return GenExpr._of({tuple((n, not s) for n, s in reversed(w)): c
-                            for w, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GenExpr) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        bits = [_format_word(w) if c == 1 else f"{c}·{_format_word(w)}"
-                for w, c in self.terms.items()]
-        return "<gen " + (" + ".join(bits) or "0") + ">"
+Terms = dict[GenWord, Coeff]
 
 
 @dataclass(frozen=True)
 class RelationSet:
     kind: str
     generators: tuple[str, ...]
-    relations: tuple[tuple[str, GenExpr], ...]
+    relations: tuple[tuple[str, Terms], ...]
 
 
 @dataclass
@@ -158,31 +95,27 @@ def p_name(v: str) -> str:
     return f"p({v})"
 
 
-# Each relation is written as its term dict; a pair (x, s) in a word is the
-# generator x, starred when s is true.
-
-
-def _sum(words, minus: str | None = None) -> GenExpr:
+def _sum(words, minus: str | None = None) -> Terms:
     """The sum of distinct ``words``, less the generator ``minus``."""
     terms = dict.fromkeys(words, 1)
     if minus is not None:
         terms[((minus, False),)] = -1
-    return GenExpr._of(terms)
+    return terms
 
 
-def _prod(a: str, b: str, minus: str | None = None) -> GenExpr:
+def _prod(a: str, b: str, minus: str | None = None) -> Terms:
     """a b, less the generator ``minus``."""
     return _sum((((a, False), (b, False)),), minus)
 
 
-def _less(x: str, words) -> GenExpr:
+def _less(x: str, words) -> Terms:
     """The generator x less the sum of distinct ``words``."""
-    return GenExpr._of({((x, False),): 1, **dict.fromkeys(words, -1)})
+    return {((x, False),): 1, **dict.fromkeys(words, -1)}
 
 
-def _adjoint(x: str, y: str) -> GenExpr:
+def _adjoint(x: str, y: str) -> Terms:
     """x* - y."""
-    return GenExpr._of({((x, True),): 1, ((y, False),): -1})
+    return {((x, True),): 1, ((y, False),): -1}
 
 
 def _vertex_family(names, out: list) -> None:
@@ -200,8 +133,10 @@ def relations(kind: str, g) -> RelationSet:
     ``weighted`` (indexed edge generators e.i), ``weighted-l1`` (same
     generators with the diagonal-support relations split out), ``lv``
     (upper-corner pair generators), ``lw`` (lower-corner pair generators).
+    Each relation is a term dict of words in (generator, starred) pairs
+    with nonzero ``int`` coefficients.
     """
-    rels: list[tuple[str, GenExpr]] = []
+    rels: list[tuple[str, Terms]] = []
     if kind == "separated":
         s = as_separated(g)
         d = s.graph
@@ -448,50 +383,47 @@ MAPS = {
 # evaluation
 
 
-def _substitute(gmap: GeneratorMap, terms: dict, star: int,
-                what: str) -> AlgElement:
-    # Replace each letter by its image, starred when the letter's mark
-    # equals ``star``, add the scaled products into one dict and normalize.
+def evaluate(terms: Terms, gmap: GeneratorMap) -> AlgElement:
+    """Substitute generator images into a term dict and normalize.
+
+    ``terms`` maps each word, a tuple of (generator, starred) pairs, to its
+    coefficient; a starred generator stands for the star of its image.
+    Coefficients are coerced once here, with ``as_coeff``: an ``int``
+    passes through unchanged and anything else becomes an exact
+    ``Fraction``.  Zero terms contribute nothing.
+    """
     target = gmap.target
     out: dict = {}
     for word, coeff in terms.items():
+        if not coeff:
+            continue
         if not word:
-            raise AlgebraError(f"no image for the empty {what} word")
+            raise AlgebraError("no image for the empty generator word")
         acc: AlgElement | None = None
-        for name, mark in word:
+        for name, starred in word:
             try:
                 img = gmap.images[name]
             except KeyError:
-                raise AlgebraError(f"no image for {what} {name!r}")
-            if mark == star:
+                raise AlgebraError(f"no image for generator {name!r}")
+            if starred:
                 img = img.star()
             acc = img if acc is None else acc * img
         if not target.same_carrier(acc.alg):
             raise AlgebraError("operands live over different graphs")
+        coeff = as_coeff(coeff)
         for w, c in acc.terms.items():
             _collect(out, w, coeff * c)
     return normal_form(AlgElement(target, out))
 
 
-def evaluate(expr: GenExpr, gmap: GeneratorMap) -> AlgElement:
-    """Substitute generator images and normalize."""
-    return _substitute(gmap, expr.terms, True, "generator")
-
-
 def verify(gmap: GeneratorMap, rels: RelationSet) -> VerifyReport:
     failures = []
-    for label, expr in rels.relations:
-        residue = evaluate(expr, gmap)
+    for label, terms in rels.relations:
+        residue = evaluate(terms, gmap)
         if not residue.is_zero:
             failures.append((label, residue))
     return VerifyReport(all_zero=not failures, checked=len(rels.relations),
                         failures=tuple(failures))
-
-
-def apply_map(gmap: GeneratorMap, elem: AlgElement) -> AlgElement:
-    """Push an algebra element through a map whose images are keyed by the
-    vertex and edge names of the element's own graph (e.g. phi0)."""
-    return _substitute(gmap, elem.terms, GHOST, "letter")
 
 
 def kernel_generator(g: BipartiteSeparatedGraph, e: str, f: str, g2: str,
@@ -523,8 +455,13 @@ def _kernel_word(gmap: GeneratorMap, e: str, f: str, g2: str,
 # ideal generator families
 
 
-def _format_word(word: tuple[tuple[str, bool], ...]) -> str:
+def _format_word(word: GenWord) -> str:
     return " ".join(n + "*" if s else n for n, s in word)
+
+
+# The commutator family normalizes one commutator per pair of distinct range
+# projections; past this many pairs it refuses rather than run for minutes.
+MAX_COMMUTATOR_PAIRS = 1 << 17
 
 
 def _semigroup_words(names: list[str], compose, bound: int):
@@ -555,8 +492,9 @@ def ideal_generators(kind: str, g, bound: int | None = None,
     under phi_vw.  ``kernel``: all nonzero kernel words of the one-step
     resolution map.  ``commutator``: commutators of range projections
     u u* over semigroup words up to ``bound`` letters (indexed generators
-    count as one letter and map through phi1).  ``hsat``: the vertices of
-    a hereditary group-saturated set.
+    count as one letter and map through phi1); it raises
+    ``ResourceLimitError`` past ``MAX_COMMUTATOR_PAIRS`` projection pairs.
+    ``hsat``: the vertices of a hereditary group-saturated set.
     """
     if kind == "i0":
         g = as_weighted(g)
@@ -625,15 +563,20 @@ def ideal_generators(kind: str, g, bound: int | None = None,
         words = _semigroup_words(names, compose, bound)
         projections: dict = {}
         for w in words:
-            acc = evaluate(GenExpr.word(*w), gmap)
+            acc = evaluate({w: 1}, gmap)
             p = normal_form(acc * acc.star())
             if p.is_zero:
                 continue
             key = frozenset(p.terms.items())
             projections.setdefault(key, (_format_word(w), p))
+        items = list(projections.values())
+        pairs = len(items) * (len(items) - 1) // 2
+        if pairs > MAX_COMMUTATOR_PAIRS:
+            raise cons.ResourceLimitError(
+                f"commutator generators refused: {pairs} projection pairs "
+                f"exceed {MAX_COMMUTATOR_PAIRS}")
         out = []
         seen = set()
-        items = list(projections.values())
         for i, (la, pa) in enumerate(items):
             for lb, pb in items[i + 1:]:
                 c = normal_form(pa * pb - pb * pa)

@@ -3,10 +3,10 @@
 Elements are linear combinations of words over direct and ghost edge
 letters, plus one trivial word per vertex.  Coefficients are integers:
 every relation and rewrite rule has coefficients ±1, so the core works
-over Z.  A rational that a caller supplies (through ``element``, ``scale``
-or a parsed expression) stays an exact ``Fraction`` and mixes with the
-integers through plain arithmetic.  Coefficients are coerced once, at
-those public constructors; sums, products and rewrites combine
+over Z.  A rational that a caller supplies (through ``element``, ``scale``,
+a parsed expression or ``homs.evaluate``) stays an exact ``Fraction`` and
+mixes with the integers through plain arithmetic.  Coefficients are
+coerced once, at those entry points; sums, products and rewrites combine
 coefficients that are already coerced.
 
 Every question about where a word starts and ends reads one table,

@@ -18,7 +18,7 @@ from sepal.cli import main as cli_main
 from sepal.graphs import is_vertex_weighted
 from sepal.graphio import parse_graph, print_graph
 from sepal.homs import (
-    apply_map,
+    evaluate,
     kernel_generator,
     phi0,
     phi1,
@@ -29,6 +29,7 @@ from sepal.homs import (
 )
 from sepal.staralg import StarAlgebra, basis_words, normal_form
 from sepal.sweeps import bipartite_sweep, weighted_sweep
+from test_homs import as_generator_terms
 from test_staralg import nf_oracle
 
 
@@ -84,7 +85,7 @@ def test_criterion_2_kernel_words():
             want = normal_form(alg.ghost(e) * comm * alg.edge(h))
             if gamma != want:
                 problems.append(("identity", m, n, e, f, g2, h))
-            if not apply_map(gmap, gamma).is_zero:
+            if not evaluate(as_generator_terms(gamma), gmap).is_zero:
                 problems.append(("image", m, n, e, f, g2, h))
     report(2, "kernel words", problems, f"{total} quadruples")
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -375,6 +376,17 @@ def test_ideal_gens_i0(wmax22_path):
     code, doc = run_json("ideal-gens", "--graph", wmax22_path, "--kind", "i0")
     assert code == 0
     assert doc["payload"]["count"] == 8
+
+
+def test_ideal_gens_commutator_refuses_too_many_pairs(wmax22_path):
+    # 2,672 projections at bound 4: 3,568,456 pairs, far past the cap
+    t0 = time.perf_counter()
+    code, doc = run_json("ideal-gens", "--graph", wmax22_path,
+                         "--kind", "commutator", "--bound", "4")
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert doc["status"] == "error"
+    assert "3568456 projection pairs" in doc["payload"]["message"]
 
 
 def test_ideal_gens_hsat(e23_path):

@@ -75,10 +75,14 @@ def test_format_parse_round_trip(A23):
 
 
 def test_parse_weighted_indices(wmax22):
-    expr = parse_weighted("e1.1 e1.2*", wmax22)
-    assert list(expr.terms) == [(("e1.1", False), ("e1.2", True))]
-    expr = parse_weighted("v", wmax22)
-    assert list(expr.terms) == [(("v", False),)]
+    terms = parse_weighted("e1.1 e1.2*", wmax22)
+    assert terms == {(("e1.1", False), ("e1.2", True)): 1}
+    assert parse_weighted("v", wmax22) == {(("v", False),): 1}
+
+
+def test_parse_weighted_drops_zero_terms(wmax22):
+    for text in ("e1.1 - e1.1", "0 v", "0"):
+        assert parse_weighted(text, wmax22) == {}, text
 
 
 def test_parse_weighted_errors(wmax22):
@@ -93,8 +97,7 @@ def test_parse_weighted_errors(wmax22):
 
 
 def test_weighted_star_flag(omega0_35):
-    expr = parse_weighted("e1.2* e2.1 - 3 v", omega0_35)
-    words = sorted(expr.terms, key=len)
-    assert expr.terms[(("v", False),)] == -3
-    assert all(type(c) is int for c in expr.terms.values())
-    assert (("e1.2", True), ("e2.1", False)) in expr.terms
+    terms = parse_weighted("e1.2* e2.1 - 3 v", omega0_35)
+    assert terms == {(("e1.2", True), ("e2.1", False)): 1,
+                     (("v", False),): -3}
+    assert all(type(c) is int for c in terms.values())
