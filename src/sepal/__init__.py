@@ -9,7 +9,6 @@ from .graphs import (
     as_bipartite,
     as_separated,
     as_weighted,
-    classify,
     is_vertex_weighted,
     require_valid,
     validate,
@@ -24,12 +23,8 @@ from .constructions import (
     is_hsat,
     one_step_resolution,
     quotient_graph,
-    same_bipartite_structure,
-    same_separated_structure,
     separated_of_vertex_weighted,
     separated_of_weighted,
-    thm310_hidden_vertices,
-    thm310_rename,
     weighted_completion,
 )
 from .staralg import (
@@ -37,8 +32,6 @@ from .staralg import (
     AlgElement,
     StarAlgebra,
     basis_words,
-    corner,
-    equals,
     format_element,
     normal_form,
 )
@@ -47,7 +40,6 @@ from .homs import (
     RelationSet,
     evaluate,
     ideal_generators,
-    kernel_generator,
     phi0,
     phi1,
     phi_vw,

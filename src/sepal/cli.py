@@ -261,6 +261,8 @@ def _cmd_monoid(ns):
                    "group": str(shape)}
         return "ok", payload, _prov(g), [f"group: {shape}"]
     if ns.what == "leavitt-type":
+        if not (ns.generator or pres.generators):
+            raise GraphError("the presentation has no generators")
         gen = ns.generator or pres.generators[0]
         slim = monoids.eliminate_identifications(pres)
         use = slim if gen in slim.generators else pres

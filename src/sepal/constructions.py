@@ -7,8 +7,10 @@ resolution with its iterated tower, and the lattice of hereditary
 group-saturated vertex sets with closures and quotients.
 
 Every function is pure and returns new immutable graphs.  Names of generated
-vertices and edges are canonical strings, so two runs over equal inputs
-produce identical graphs; downstream comparisons rely on this.
+vertices and edges are canonical strings, built only by the ``name_*``
+helpers, so two runs over equal inputs produce identical graphs; downstream
+comparisons rely on this, and so does the check in the tests that the
+quotient of the resolved completion is the direct companion (Theorem 3.10).
 """
 
 from __future__ import annotations
@@ -192,78 +194,6 @@ def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
     graph = DirectedGraph.make(d.vertices + lower, edges)
     return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
                                         upper=d.vertices, lower=lower)
-
-
-def thm310_hidden_vertices(g: WeightedGraph) -> frozenset[str]:
-    """Tuple vertices of the resolved completion that track the weight slots
-    missing from the original graph: v(e~,h(v,j)) for weight(e) < j."""
-    g = as_weighted(g)
-    hidden = set()
-    for e, s, _ in g.graph.edges:
-        for j in range(g.w[e] + 1, vertex_weight(g, s) + 1):
-            hidden.add(name_tuple_vertex((name_tilde(e), name_h(s, j))))
-    return frozenset(hidden)
-
-
-def thm310_rename(g: WeightedGraph) -> dict[str, str]:
-    """Rename table from resolved-completion names to the direct companion
-    names of ``separated_of_weighted``: v(e~,h(v,j)) -> v(e,j),
-    a^h(v,i)(e~) -> a{i}(e), a^e~(h(v,i)) -> a^e(i), v_1 -> v."""
-    g = as_weighted(g)
-    table: dict[str, str] = {}
-    for v in g.graph.vertices:
-        table[name_lower_copy(v)] = v
-    for e, s, _ in g.graph.edges:
-        for i in range(1, g.w[e] + 1):
-            table[name_tuple_vertex((name_tilde(e), name_h(s, i)))] = \
-                name_slot_vertex(e, i)
-            table[name_alpha(name_h(s, i), (name_tilde(e),))] = \
-                name_slot_edge(i, e)
-            table[name_alpha(name_tilde(e), (name_h(s, i),))] = \
-                name_edge_slot(e, i)
-    return table
-
-
-def rename_graph(g, table: dict[str, str]):
-    """Apply a vertex/edge rename table; names not listed stay unchanged."""
-    s = as_separated(g)
-
-    def nm(x: str) -> str:
-        return table.get(x, x)
-
-    graph = DirectedGraph.make(
-        [nm(v) for v in s.graph.vertices],
-        [(nm(e), nm(a), nm(b)) for e, a, b in s.graph.edges])
-    out = SeparatedGraph.make(
-        graph, {nm(v): [[nm(e) for e in grp] for grp in groups]
-                for v, groups in s.separation})
-    if isinstance(g, BipartiteSeparatedGraph):
-        return BipartiteSeparatedGraph.make(
-            out, upper=[nm(v) for v in g.upper],
-            lower=[nm(v) for v in g.lower])
-    return out
-
-
-def _sep_shape(g: SeparatedGraph):
-    return (
-        frozenset(g.graph.vertices),
-        frozenset(g.graph.edges),
-        frozenset((v, frozenset(frozenset(grp) for grp in groups))
-                  for v, groups in g.separation),
-    )
-
-
-def same_separated_structure(a, b) -> bool:
-    """Equality of separated graphs up to list order (groups compared as a
-    set of sets; the stored orders only steer generated names)."""
-    return _sep_shape(as_separated(a)) == _sep_shape(as_separated(b))
-
-
-def same_bipartite_structure(a: BipartiteSeparatedGraph,
-                             b: BipartiteSeparatedGraph) -> bool:
-    a, b = as_bipartite(a), as_bipartite(b)
-    return (same_separated_structure(a.base, b.base)
-            and a.upper_set == b.upper_set and a.lower_set == b.lower_set)
 
 
 # ---------------------------------------------------------------------------

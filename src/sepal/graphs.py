@@ -477,36 +477,7 @@ def require_valid(g: AnyGraph) -> None:
 
 
 # ---------------------------------------------------------------------------
-# classification
-
-
-@dataclass(frozen=True)
-class GraphFlags:
-    row_finite: bool
-    locally_finite: bool
-    bipartiteable: bool
-    regular: tuple[str, ...]
-    sinks: tuple[str, ...]
-    isolated: tuple[str, ...]
-
-
-def _directed_of(g: AnyGraph) -> DirectedGraph:
-    return g if isinstance(g, DirectedGraph) else g.graph
-
-
-def classify(g: AnyGraph) -> GraphFlags:
-    """Compute finiteness flags and the regular / sink / isolated vertex sets."""
-    d = _directed_of(g)
-    require_valid(d)
-    regular = tuple(v for v in d.vertices if d.out_edges.get(v))
-    sinks = tuple(v for v in d.vertices if not d.out_edges.get(v))
-    isolated = tuple(v for v in sinks if not d.in_edges.get(v))
-    # every fiber of a finite graph is finite, so both flags are exact
-    bipartiteable = all(not d.out_edges.get(v) or not d.in_edges.get(v)
-                        for v in d.vertices)
-    return GraphFlags(row_finite=True, locally_finite=True,
-                      bipartiteable=bipartiteable, regular=regular,
-                      sinks=sinks, isolated=isolated)
+# vertex weights
 
 
 def vertex_weight(g: WeightedGraph, v: str) -> int:

@@ -426,31 +426,6 @@ def verify(gmap: GeneratorMap, rels: RelationSet) -> VerifyReport:
                         failures=tuple(failures))
 
 
-def kernel_generator(g: BipartiteSeparatedGraph, e: str, f: str, g2: str,
-                     h: str) -> AlgElement:
-    """The lower-corner kernel word r(e,f)r(f,g)r(g,h) - r(e,g)r(g,f)r(f,h)
-    for four edges with a common source, normalized."""
-    g = as_bipartite(g)
-    d = g.base.graph
-    unknown = [x for x in (e, f, g2, h) if x not in d._ends]
-    if unknown:
-        raise GraphError("unknown edges: " + ", ".join(unknown))
-    srcs = {d.src(x) for x in (e, f, g2, h)}
-    if len(srcs) != 1:
-        raise GraphError("kernel words need four edges with a common source")
-    return _kernel_word(rho_tau(g), e, f, g2, h)
-
-
-def _kernel_word(gmap: GeneratorMap, e: str, f: str, g2: str,
-                 h: str) -> AlgElement:
-    """``kernel_generator`` for four checked edges, read off ``rho_tau``."""
-    def r(a: str, b: str) -> AlgElement:
-        return gmap.images[r_name(a, b)]
-    lhs = r(e, f) * r(f, g2) * r(g2, h)
-    rhs = r(e, g2) * r(g2, f) * r(f, h)
-    return normal_form(lhs - rhs)
-
-
 # ---------------------------------------------------------------------------
 # ideal generator families
 
@@ -465,23 +440,18 @@ MAX_COMMUTATOR_PAIRS = 1 << 17
 
 
 def _semigroup_words(names: list[str], compose, bound: int):
-    """Composable sequences over direct/starred letters, up to ``bound``."""
-    layer: list[GenWord] = [((n, s),) for n in names for s in (False, True)]
-    out: list[GenWord] = []
-    for _ in range(bound):
-        out += layer
+    """Composable sequences over direct/starred letters, up to ``bound``,
+    shortest first.  They are yielded one at a time, so a caller that
+    refuses part way lists no more of them."""
+    letters = [(n, s) for n in names for s in (False, True)]
+    layer: list[GenWord] = [(l,) for l in letters]
+    for length in range(1, bound + 1):
         nxt = []
         for w in layer:
-            if len(w) == bound:
-                continue
-            for n in names:
-                for s in (False, True):
-                    if compose(w[-1], (n, s)):
-                        nxt.append(w + ((n, s),))
+            yield w
+            if length < bound:
+                nxt += [w + (l,) for l in letters if compose(w[-1], l)]
         layer = nxt
-        if not layer:
-            break
-    return out
 
 
 def ideal_generators(kind: str, g, bound: int | None = None,
@@ -493,7 +463,8 @@ def ideal_generators(kind: str, g, bound: int | None = None,
     resolution map.  ``commutator``: commutators of range projections
     u u* over semigroup words up to ``bound`` letters (indexed generators
     count as one letter and map through phi1); it raises
-    ``ResourceLimitError`` past ``MAX_COMMUTATOR_PAIRS`` projection pairs.
+    ``ResourceLimitError`` as soon as the distinct projections found give
+    more than ``MAX_COMMUTATOR_PAIRS`` pairs.
     ``hsat``: the vertices of a hereditary group-saturated set.
     """
     if kind == "i0":
@@ -523,13 +494,18 @@ def ideal_generators(kind: str, g, bound: int | None = None,
 
     if kind == "kernel":
         g = as_bipartite(g)
-        gmap = rho_tau(g)
+        images = rho_tau(g).images
+
+        def r(a: str, b: str) -> AlgElement:
+            return images[r_name(a, b)]
+
         d = g.base.graph
         out = []
         for v in g.upper:
             fiber = d.out_edges.get(v, ())
             for e, f, g2, h in itertools.product(fiber, repeat=4):
-                el = _kernel_word(gmap, e, f, g2, h)
+                el = normal_form(r(e, f) * r(f, g2) * r(g2, h)
+                                 - r(e, g2) * r(g2, f) * r(f, h))
                 if not el.is_zero:
                     out.append((f"gamma:{e}.{f}.{g2}.{h}", el))
         return out
@@ -560,21 +536,22 @@ def ideal_generators(kind: str, g, bound: int | None = None,
         def compose(l1, l2):
             return letter_ends(l1)[1] == letter_ends(l2)[0]
 
-        words = _semigroup_words(names, compose, bound)
         projections: dict = {}
-        for w in words:
+        for w in _semigroup_words(names, compose, bound):
             acc = evaluate({w: 1}, gmap)
             p = normal_form(acc * acc.star())
             if p.is_zero:
                 continue
             key = frozenset(p.terms.items())
             projections.setdefault(key, (_format_word(w), p))
+            # the count only grows, so refusing here refuses exactly the
+            # families whose full count would exceed the cap
+            k = len(projections)
+            if k * (k - 1) // 2 > MAX_COMMUTATOR_PAIRS:
+                raise cons.ResourceLimitError(
+                    "commutator generators refused: more than "
+                    f"{MAX_COMMUTATOR_PAIRS} projection pairs")
         items = list(projections.values())
-        pairs = len(items) * (len(items) - 1) // 2
-        if pairs > MAX_COMMUTATOR_PAIRS:
-            raise cons.ResourceLimitError(
-                f"commutator generators refused: {pairs} projection pairs "
-                f"exceed {MAX_COMMUTATOR_PAIRS}")
         out = []
         seen = set()
         for i, (la, pa) in enumerate(items):

@@ -27,8 +27,6 @@ from .graphs import (
     GraphError,
     SeparatedGraph,
     WeightedGraph,
-    as_weighted,
-    vertex_weight,
 )
 from .homs import GeneratorMap, relations, slot_name, verify
 from .staralg import StarAlgebra
@@ -79,27 +77,6 @@ def minimal_partition(m: int, n: int) -> MnPartition:
     return MnPartition.make(m, n, (n,) + (1,) * (m - 1))
 
 
-def maximal_partition(m: int, n: int) -> MnPartition:
-    return MnPartition.make(m, n, (n,) * m)
-
-
-def partition_meet(a: MnPartition, b: MnPartition) -> MnPartition:
-    _match(a, b)
-    return MnPartition.make(a.m, a.n,
-                            tuple(min(x, y) for x, y in zip(a.parts, b.parts)))
-
-
-def partition_join(a: MnPartition, b: MnPartition) -> MnPartition:
-    _match(a, b)
-    return MnPartition.make(a.m, a.n,
-                            tuple(max(x, y) for x, y in zip(a.parts, b.parts)))
-
-
-def _match(a: MnPartition, b: MnPartition) -> None:
-    if (a.m, a.n) != (b.m, b.n):
-        raise GraphError("partitions live on different (m, n)")
-
-
 def partition_to_weighted(p: MnPartition) -> WeightedGraph:
     """One vertex, loops e1..en, weight(e_j) = number of parts >= j."""
     edges = [(f"e{j}", "v", "v") for j in range(1, p.n + 1)]
@@ -107,19 +84,6 @@ def partition_to_weighted(p: MnPartition) -> WeightedGraph:
     weights = {f"e{j}": sum(1 for x in p.parts if x >= j)
                for j in range(1, p.n + 1)}
     return WeightedGraph.make(graph, weights)
-
-
-def weighted_to_partition(g: WeightedGraph) -> MnPartition:
-    """Inverse of ``partition_to_weighted`` for single-vertex graphs."""
-    g = as_weighted(g)
-    if len(g.graph.vertices) != 1:
-        raise GraphError("partition graphs have a single vertex")
-    v = g.graph.vertices[0]
-    m = vertex_weight(g, v)
-    n = len(g.graph.edges)
-    parts = tuple(sum(1 for e, _, _ in g.graph.edges if g.w[e] >= i)
-                  for i in range(1, m + 1))
-    return MnPartition.make(m, n, parts)
 
 
 def shape_matrix(p: MnPartition) -> Matrix:
@@ -181,20 +145,6 @@ def minimal_configurations(m: int, n: int) -> list[Matrix]:
         if ok:
             out.append(mat)
     return out
-
-
-def matrix_to_hidden(m: int, n: int, mat: Matrix) -> frozenset[str]:
-    """Slot vertices of the completed graph hidden by a matrix: the zeros."""
-    return frozenset(cons.name_slot_vertex(f"e{j + 1}", i + 1)
-                     for i in range(m) for j in range(n) if not mat[i][j])
-
-
-def hidden_to_matrix(m: int, n: int, hidden) -> Matrix:
-    hidden = frozenset(hidden)
-    return tuple(
-        tuple(0 if cons.name_slot_vertex(f"e{j + 1}", i + 1) in hidden else 1
-              for j in range(n))
-        for i in range(m))
 
 
 # ---------------------------------------------------------------------------

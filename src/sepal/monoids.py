@@ -20,20 +20,20 @@ order no pair exists at all (Ara and Goodearl, *Leavitt path algebras of
 separated graphs*, J. reine angew. Math. 669 (2012), for G(M) of a graph
 monoid).  ``order_ideals`` / ``order_ideal_oracle`` enumerate the ideal
 lattice from the graph side and the presentation side independently.
+
+The module reads graphs through ``graphs`` and ``constructions`` only; it
+imports nothing from the star-algebra core.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from operator import add, ge, sub
 from typing import Iterable, Sequence
 
 from . import constructions as cons
-from .graphs import GraphError, WeightedGraph, as_separated, vertex_weight
-from .homs import phi1, slot_name
-from .staralg import AlgElement, normal_form
+from .graphs import GraphError, WeightedGraph, as_separated
 
 Vec = tuple[int, ...]
 
@@ -496,71 +496,3 @@ def order_ideal_oracle(p: MonoidPresentation) -> list[frozenset[str]]:
     out = [frozenset(g for i, g in enumerate(p.generators) if s >> i & 1)
            for s in found]
     return sorted(out, key=lambda h: (len(h), tuple(sorted(h))))
-
-
-# ---------------------------------------------------------------------------
-# idempotent images of the monoid generators
-
-
-@dataclass(frozen=True)
-class GammaReport:
-    images: dict[str, AlgElement]
-    checks: tuple[tuple[str, bool], ...]
-    all_ok: bool
-
-
-def gamma_images(g: WeightedGraph) -> GammaReport:
-    """Idempotent realizations of the monoid generators of ``m1_of``.
-
-    The class of a slot generator v(e,i) is represented on the source side
-    by the range projection of the mapped generator and on the range side
-    by its support projection; every defining monoid relation is verified
-    as an orthogonal decomposition of the vertex idempotent (summands
-    multiply pairwise to zero and add up to the vertex).
-    """
-    gmap = phi1(g)
-    alg = gmap.target
-    d = g.graph
-    images: dict[str, AlgElement] = {}
-    for v in d.vertices:
-        images[v] = alg.vertex(v)
-    source_side: dict[tuple[str, int], AlgElement] = {}
-    range_side: dict[tuple[str, int], AlgElement] = {}
-    checks: list[tuple[str, bool]] = []
-    for e, _, _ in d.edges:
-        for i in range(1, g.w[e] + 1):
-            x = gmap.images[slot_name(e, i)]
-            p = normal_form(x * x.star())
-            q = normal_form(x.star() * x)
-            source_side[(e, i)] = p
-            range_side[(e, i)] = q
-            images[cons.name_slot_vertex(e, i)] = p
-            checks.append((f"idem:{cons.name_slot_vertex(e, i)}",
-                           normal_form(p * p - p).is_zero
-                           and normal_form(q * q - q).is_zero))
-
-    def decomposition(label: str, parts: list[AlgElement],
-                      whole: AlgElement) -> None:
-        ok = True
-        for a, b in itertools.combinations(parts, 2):
-            if not normal_form(a * b).is_zero:
-                ok = False
-        total = alg.zero()
-        for a in parts:
-            total = total + a
-        if not normal_form(total - whole).is_zero:
-            ok = False
-        checks.append((label, ok))
-
-    for v in d.vertices:
-        fiber = d.out_edges.get(v, ())
-        if not fiber:
-            continue
-        for i in range(1, vertex_weight(g, v) + 1):
-            parts = [source_side[(e, i)] for e in fiber if g.w[e] >= i]
-            decomposition(f"slots:{v}.{i}", parts, images[v])
-    for e, _, rng in d.edges:
-        parts = [range_side[(e, i)] for i in range(1, g.w[e] + 1)]
-        decomposition(f"edge:{e}", parts, images[rng])
-    return GammaReport(images, tuple(checks),
-                       all(ok for _, ok in checks))

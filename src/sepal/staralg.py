@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import as_bipartite, as_separated
+from .graphs import as_separated
 
 DIRECT = 0
 GHOST = 1
@@ -59,8 +59,8 @@ class AlgebraError(ValueError):
 class StarAlgebra:
     """Carrier for elements over one separated graph.
 
-    Accepts a separated or bipartite separated graph; the bipartite level
-    data only matters for corner projections.
+    Accepts a separated or bipartite separated graph.  The graph given is
+    kept as ``graph``; the algebra reads only its separated base, ``sep``.
     """
 
     def __init__(self, graph):
@@ -143,8 +143,8 @@ class AlgElement:
     elements) applies e* f = δ_ef r(e) where a left word ending in e* meets
     a right word starting with f in e's group, and nothing else; the e e*
     expansion and every redex inside a word stay with ``normal_form``.
-    ``scale`` multiplies by a scalar.  Use ``normal_form``, ``mul`` or
-    ``equals`` for normalized results.
+    ``scale`` multiplies by a scalar.  Use ``normal_form`` for normalized
+    results.
     """
 
     __slots__ = ("alg", "terms")
@@ -318,18 +318,6 @@ def normal_form(elem: AlgElement) -> AlgElement:
     return AlgElement(alg, done)
 
 
-def mul(a: AlgElement, b: AlgElement) -> AlgElement:
-    return normal_form(a * b)
-
-
-def equals(a: AlgElement, b: AlgElement) -> bool:
-    return normal_form(a - b).is_zero
-
-
-def is_normal(elem: AlgElement) -> bool:
-    return all(_first_redex(elem.alg, w) is None for w in elem.terms)
-
-
 def basis_words(alg: StarAlgebra, max_len: int,
                 start: str | None = None) -> list[Word]:
     """All irreducible words with at most ``max_len`` edge letters,
@@ -358,19 +346,3 @@ def basis_words(alg: StarAlgebra, max_len: int,
         if not layer:
             break
     return out
-
-
-def corner(elem: AlgElement, side: str) -> AlgElement:
-    """Restrict to the terms whose words start and end on one level of a
-    bipartite separated graph: side ``V`` is upper, ``W`` lower."""
-    bip = as_bipartite(elem.alg.graph)
-    if side == "V":
-        level = bip.upper_set
-    elif side == "W":
-        level = bip.lower_set
-    else:
-        raise AlgebraError(f"side must be V or W, not {side!r}")
-    ends = elem.alg.ends
-    return AlgElement(elem.alg, {
-        w: c for w, c in elem.terms.items()
-        if ends[w[0]][0] in level and ends[w[-1]][1] in level})

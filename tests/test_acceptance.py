@@ -19,7 +19,6 @@ from sepal.graphs import is_vertex_weighted
 from sepal.graphio import parse_graph, print_graph
 from sepal.homs import (
     evaluate,
-    kernel_generator,
     phi0,
     phi1,
     phi_vw,
@@ -29,7 +28,8 @@ from sepal.homs import (
 )
 from sepal.staralg import StarAlgebra, basis_words, normal_form
 from sepal.sweeps import bipartite_sweep, weighted_sweep
-from test_homs import as_generator_terms
+from test_constructions import same_bipartite_structure, thm310_route
+from test_homs import as_generator_terms, kernel_word
 from test_staralg import nf_oracle
 
 
@@ -80,7 +80,7 @@ def test_criterion_2_kernel_words():
         fiber = g.base.graph.out_edges["v"]
         for e, f, g2, h in itertools.product(fiber, repeat=4):
             total += 1
-            gamma = kernel_generator(g, e, f, g2, h)
+            gamma = kernel_word(rmap, e, f, g2, h)
             comm = proj(f) * proj(g2) - proj(g2) * proj(f)
             want = normal_form(alg.ghost(e) * comm * alg.edge(h))
             if gamma != want:
@@ -190,7 +190,7 @@ def test_criterion_6_lattice_isomorphism():
         got = [e.vertices for e in monoids.order_ideals(g)]
         if got != monoids.order_ideal_oracle(monoids.m1_of(g)):
             problems.append(("weighted", len(got)))
-    full = mnlab.partition_to_weighted(mnlab.maximal_partition(2, 2))
+    full = mnlab.partition_to_weighted(mnlab.MnPartition.make(2, 2, (2, 2)))
     if len(monoids.order_ideals(full)) != 8:
         problems.append(("wmax22 ideals", len(monoids.order_ideals(full))))
     if len(mnlab.ideal_matrices(2, 2)) != 7:
@@ -208,12 +208,8 @@ def test_criterion_7_quotient_consistency():
     count = 0
     for g in weighted_sweep():
         count += 1
-        full = cons.weighted_completion(g)
-        res = cons.one_step_resolution(cons.separated_of_vertex_weighted(full))
-        q = cons.quotient_graph(res, cons.thm310_hidden_vertices(g))
-        renamed = cons.rename_graph(q, cons.thm310_rename(g))
-        if not cons.same_bipartite_structure(
-                renamed, cons.separated_of_weighted(g)):
+        if not same_bipartite_structure(thm310_route(g),
+                                        cons.separated_of_weighted(g)):
             problems.append(print_graph(g))
     report(7, "quotient consistency", problems,
            f"{count} weighted graphs, {time.time() - t0:.1f}s")

@@ -379,14 +379,26 @@ def test_ideal_gens_i0(wmax22_path):
 
 
 def test_ideal_gens_commutator_refuses_too_many_pairs(wmax22_path):
-    # 2,672 projections at bound 4: 3,568,456 pairs, far past the cap
+    # 2,672 projections at bound 4: 3,568,456 pairs, far past the cap; the
+    # family is refused once 513 distinct projections give 131,328 pairs
     t0 = time.perf_counter()
     code, doc = run_json("ideal-gens", "--graph", wmax22_path,
                          "--kind", "commutator", "--bound", "4")
     assert time.perf_counter() - t0 < 5
     assert code == 2
     assert doc["status"] == "error"
-    assert "3568456 projection pairs" in doc["payload"]["message"]
+    assert "more than 131072 projection pairs" in doc["payload"]["message"]
+
+
+def test_ideal_gens_commutator_refuses_before_listing_every_word(omega0_path):
+    # bound 5 has 579,194 semigroup words; the refusal comes after the
+    # first 1,488 of them
+    t0 = time.perf_counter()
+    code, doc = run_json("ideal-gens", "--graph", omega0_path,
+                         "--kind", "commutator", "--bound", "5")
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert "more than 131072 projection pairs" in doc["payload"]["message"]
 
 
 def test_ideal_gens_hsat(e23_path):
@@ -433,6 +445,15 @@ def test_leavitt_type_of_infinite_order_scans_nothing(tmp_path):
     code, text = run("monoid", "leavitt-type", "--graph", str(sink))
     assert code == 3
     assert "[v] has infinite order in G(M), so no (p, q) exists" in text
+
+
+@pytest.mark.parametrize("kind", ["separated", "weighted"])
+def test_leavitt_type_without_vertices_is_an_error(tmp_path, kind):
+    empty = tmp_path / "empty.txt"
+    empty.write_text(f"graph {kind}\n")
+    code, doc = run_json("monoid", "leavitt-type", "--graph", str(empty))
+    assert code == 2
+    assert doc["payload"]["message"] == "the presentation has no generators"
 
 
 def test_monoid_order_ideals(omega0_path):

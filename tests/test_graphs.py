@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sepal import constructions as cons
-from sepal import exprs, graphio, graphs, homs, mnlab, monoids
+from sepal import exprs, graphio, graphs, homs, monoids
 from sepal.constructions import enumerate_hsat, separated_of_weighted
 from sepal.graphs import (
     BipartiteSeparatedGraph,
@@ -13,7 +13,6 @@ from sepal.graphs import (
     as_bipartite,
     as_separated,
     as_weighted,
-    classify,
     is_vertex_weighted,
     require_valid,
     validate,
@@ -137,16 +136,6 @@ def test_vertex_weight_and_predicate():
     assert is_vertex_weighted(g2)
     with pytest.raises(GraphError):
         vertex_weight(g, "zz")
-
-
-def test_classify_flags():
-    d = DirectedGraph.make(("u", "w", "z"), [("e", "u", "w")])
-    flags = classify(d)
-    assert flags.regular == ("u",)
-    assert flags.sinks == ("w", "z")
-    assert flags.isolated == ("z",)
-    assert flags.bipartiteable
-    assert classify(d) == flags  # deterministic and idempotent
 
 
 def test_graphs_are_hashable_values():
@@ -558,12 +547,7 @@ S = ("bipartite", "separated", "loop")
 B = ("bipartite", "separated")  # the loop has no levels to infer
 
 
-def _edge4(g):
-    return [g.edges[0][0]] * 4
-
-
 ENTRY_POINTS = [
-    ("classify", classify, W + S + ("directed",)),
     ("vertex_weight", lambda g: vertex_weight(g, g.vertices[0]), W),
     ("is_vertex_weighted", is_vertex_weighted, W),
     ("weighted_completion", cons.weighted_completion, W),
@@ -571,13 +555,6 @@ ENTRY_POINTS = [
     ("separated_of_weighted", cons.separated_of_weighted, W),
     ("one_step_resolution", cons.one_step_resolution, B),
     ("bratteli", lambda g: cons.bratteli(g, 1), B),
-    ("thm310_hidden_vertices", cons.thm310_hidden_vertices, W),
-    ("thm310_rename", cons.thm310_rename, W),
-    ("rename_graph", lambda g: cons.rename_graph(g, {}), S),
-    ("same_separated_structure",
-     lambda g: cons.same_separated_structure(g, g), S),
-    ("same_bipartite_structure",
-     lambda g: cons.same_bipartite_structure(g, g), B),
     ("is_hsat", lambda g: cons.is_hsat(g, ()), S),
     ("hsat_closure", lambda g: cons.hsat_closure(g, ()), S),
     ("enumerate_hsat", cons.enumerate_hsat, S),
@@ -592,7 +569,6 @@ ENTRY_POINTS = [
     ("phi1", homs.phi1, W),
     ("phi0", homs.phi0, B),
     ("rho_tau", homs.rho_tau, B),
-    ("kernel_generator", lambda g: homs.kernel_generator(g, *_edge4(g)), B),
     ("ideal_generators-i0", lambda g: homs.ideal_generators("i0", g), W),
     ("ideal_generators-kernel",
      lambda g: homs.ideal_generators("kernel", g), B),
@@ -604,8 +580,6 @@ ENTRY_POINTS = [
     ("monoid_of", monoids.monoid_of, S),
     ("m1_of", monoids.m1_of, W),
     ("order_ideals", monoids.order_ideals, S + W),
-    ("gamma_images", monoids.gamma_images, W),
-    ("weighted_to_partition", mnlab.weighted_to_partition, W),
     ("print_graph", graphio.print_graph, S + W),
     ("graph_payload", graphio.graph_payload, S + W),
 ]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sepal import constructions as cons
 from sepal.graphs import (
+    BipartiteSeparatedGraph,
     DirectedGraph,
     GraphError,
     SeparatedGraph,
@@ -16,7 +17,6 @@ from sepal.homs import (
     GeneratorMap,
     evaluate,
     ideal_generators,
-    kernel_generator,
     phi0,
     phi1,
     phi_vw,
@@ -33,10 +33,10 @@ from sepal.staralg import (
     AlgElement,
     StarAlgebra,
     basis_words,
-    corner,
     normal_form,
 )
 from sepal.sweeps import bipartite_sweep, weighted_sweep
+from test_staralg import corner
 
 nf = normal_form
 
@@ -274,16 +274,26 @@ def test_corrupted_image_is_caught(e23):
 
 # --- kernel words -----------------------------------------------------------------
 
+def kernel_word(rmap: GeneratorMap, e: str, f: str, g2: str,
+                h: str) -> AlgElement:
+    """The lower-corner word r(e,f)r(f,g)r(g,h) - r(e,g)r(g,f)r(f,h) read
+    off the images of ``rho_tau``, normalized; zero words included."""
+    def r(a: str, b: str) -> AlgElement:
+        return rmap.images[r_name(a, b)]
+    return nf(r(e, f) * r(f, g2) * r(g2, h) - r(e, g2) * r(g2, f) * r(f, h))
+
+
 def test_kernel_generator_identity(e23):
     # r-word difference equals the conjugated projection commutator
     alg = StarAlgebra(e23)
+    rmap = rho_tau(e23)
 
     def pp(x):
         return alg.edge(x) * alg.ghost(x)
 
     fiber = ("e1", "e2", "e3", "f1", "f2")
     for e, f, g2, h in itertools.product(fiber, repeat=4):
-        gamma = kernel_generator(e23, e, f, g2, h)
+        gamma = kernel_word(rmap, e, f, g2, h)
         comm = pp(f) * pp(g2) - pp(g2) * pp(f)
         want = nf(alg.ghost(e) * comm * alg.edge(h))
         assert gamma == want
@@ -300,9 +310,23 @@ def test_kernel_words_die_in_the_resolution(e23):
         assert evaluate(as_generator_terms(el), gmap).is_zero, label
 
 
-def test_kernel_needs_common_source(e23):
-    with pytest.raises(GraphError):
-        kernel_generator(e23, "e1", "e2", "e3", "nope")
+def test_kernel_needs_common_source():
+    # two upper vertices over one lower vertex: both give kernel words,
+    # and each word pairs four edges out of one of them
+    fibers = {"u1": [["e1", "e2"], ["f1", "f2"]],
+              "u2": [["g1", "g2"], ["h1", "h2"]]}
+    edges = [(x, u, "w") for u, groups in fibers.items()
+             for grp in groups for x in grp]
+    g = BipartiteSeparatedGraph.make(
+        SeparatedGraph.make(DirectedGraph.make(("u1", "u2", "w"), edges),
+                            fibers), upper=("u1", "u2"), lower=("w",))
+    source = {x: u for x, u, _ in edges}
+    found = {label.split(":")[1] for label, _ in
+             ideal_generators("kernel", g)}
+    assert {source[x] for quad in found for x in quad.split(".")} == \
+        {"u1", "u2"}
+    assert all(len({source[x] for x in quad.split(".")}) == 1
+               for quad in found)
 
 
 # --- iterated resolution kills bounded commutators ---------------------------------
@@ -349,8 +373,10 @@ def test_hsat_generators(e23):
 
 
 def test_commutator_pairs_are_capped(omega0_35):
-    # 945 projections at bound 3: 446,040 pairs
-    with pytest.raises(cons.ResourceLimitError, match="446040 projection"):
+    # 945 projections at bound 3 would give 446,040 pairs; the 513th gives
+    # 131,328 and is refused
+    with pytest.raises(cons.ResourceLimitError,
+                       match="more than 131072 projection pairs"):
         ideal_generators("commutator", omega0_35, bound=3)
 
 

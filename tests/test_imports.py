@@ -39,3 +39,65 @@ def test_unused_imports_are_found():
                          ids=[p.relative_to(ROOT).as_posix() for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Public names kept although only the tests call them, each with its reason.
+KEPT_FOR_TESTS = {
+    # the irreducible words up to a length; the planned normal form of
+    # L(E, w) and its injectivity check for phi_vw are built on them
+    "basis_words",
+}
+CALLER_FILES = MODULES + sorted((ROOT / "sepalbench").glob("*.py"))
+
+
+def referenced_names(node) -> set[str]:
+    """Identifiers a syntax tree reads, imports or names in a string such
+    as a tracer target ``"normal_form"`` or ``"AlgElement.__mul__"``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value.split(".")[0])
+    return out
+
+
+def public_names_without_caller(files) -> list[str]:
+    """Top-level public ``def`` and ``class`` names of the library modules
+    among ``files`` that no other top-level statement of ``files`` uses."""
+    defined, uses = [], []
+    for path in files:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (path.parent.name == "sepal"
+                    and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append((path.stem, node))
+            uses.append((node, referenced_names(node)))
+    return [f"{mod}.{node.name}" for mod, node in defined
+            if not any(node.name in names
+                       for other, names in uses if other is not node)]
+
+
+def test_public_names_without_caller_are_found(tmp_path):
+    lib = tmp_path / "sepal"
+    lib.mkdir()
+    (lib / "a.py").write_text(
+        "def used():\n    pass\n\n"
+        "def alone():\n    alone()\n\n"
+        "class Traced:\n    pass\n\n"
+        "def _private():\n    pass\n")
+    (tmp_path / "b.py").write_text(
+        "from sepal.a import used\nused()\nTARGET = 'Traced.method'\n")
+    files = [lib / "a.py", tmp_path / "b.py"]
+    assert public_names_without_caller(files) == ["a.alone"]
+
+
+def test_public_names_have_a_caller():
+    orphans = {n.split(".")[1]: n
+               for n in public_names_without_caller(CALLER_FILES)}
+    assert sorted(orphans.keys() - KEPT_FOR_TESTS) == []
+    assert KEPT_FOR_TESTS <= orphans.keys(), "a kept name now has a caller"

@@ -11,26 +11,41 @@ from sepal.mnlab import (
     example_58_map,
     example_59_report,
     generator_matrix,
-    hidden_to_matrix,
     ideal_matrices,
-    matrix_to_hidden,
-    maximal_partition,
     minimal_configurations,
     minimal_partition,
-    partition_join,
-    partition_meet,
     partition_to_weighted,
     partitions,
     refinement_matrix,
     rose_graph,
     shape_matrix,
     weighted_completion_of,
-    weighted_to_partition,
 )
 
 
 def leq(a: MnPartition, b: MnPartition) -> bool:
     return all(x <= y for x, y in zip(a.parts, b.parts))
+
+
+def meet(a: MnPartition, b: MnPartition) -> MnPartition:
+    return MnPartition.make(a.m, a.n, map(min, a.parts, b.parts))
+
+
+def join(a: MnPartition, b: MnPartition) -> MnPartition:
+    return MnPartition.make(a.m, a.n, map(max, a.parts, b.parts))
+
+
+def matrix_to_hidden(m: int, n: int, mat) -> frozenset[str]:
+    """Slot vertices of the completed graph hidden by a matrix: the zeros."""
+    return frozenset(cons.name_slot_vertex(f"e{j + 1}", i + 1)
+                     for i in range(m) for j in range(n) if not mat[i][j])
+
+
+def hidden_to_matrix(m: int, n: int, hidden):
+    return tuple(
+        tuple(0 if cons.name_slot_vertex(f"e{j + 1}", i + 1) in hidden else 1
+              for j in range(n))
+        for i in range(m))
 
 
 # --- partitions ---------------------------------------------------------------
@@ -56,16 +71,14 @@ def test_partition_make_validation():
 
 
 def test_extremes_and_lattice_ops():
-    lo, hi = minimal_partition(3, 4), maximal_partition(3, 4)
-    assert lo.parts == (4, 1, 1) and hi.parts == (4, 4, 4)
+    lo, hi = minimal_partition(3, 4), MnPartition.make(3, 4, (4, 4, 4))
+    assert lo.parts == (4, 1, 1)
     a = MnPartition.make(3, 4, (4, 3, 1))
     b = MnPartition.make(3, 4, (4, 2, 2))
-    assert partition_meet(a, b).parts == (4, 2, 1)
-    assert partition_join(a, b).parts == (4, 3, 2)
+    assert meet(a, b).parts == (4, 2, 1)
+    assert join(a, b).parts == (4, 3, 2)
     for p in partitions(3, 4):
         assert leq(lo, p) and leq(p, hi)
-    with pytest.raises(GraphError):
-        partition_meet(a, minimal_partition(2, 4))
 
 
 def test_partition_weight_dictionary():
@@ -75,18 +88,13 @@ def test_partition_weight_dictionary():
 
 
 def test_partition_round_trip():
+    # part i counts the loops of weight at least i
     for m in range(1, 7):
         for n in range(m, 7):
             for p in partitions(m, n):
-                assert weighted_to_partition(partition_to_weighted(p)) == p
-
-
-def test_weighted_to_partition_guard(e23):
-    from sepal.graphs import DirectedGraph, WeightedGraph
-    d = DirectedGraph.make(("a", "b"), [("e", "a", "b"), ("f", "b", "a")])
-    g = WeightedGraph.make(d, {"e": 1, "f": 1})
-    with pytest.raises(GraphError, match="single vertex"):
-        weighted_to_partition(g)
+                weights = dict(partition_to_weighted(p).weights).values()
+                assert tuple(sum(w >= i for w in weights)
+                             for i in range(1, m + 1)) == p.parts
 
 
 # --- matrices ------------------------------------------------------------------
@@ -190,8 +198,8 @@ def test_partition_embedding_into_the_lattice():
             assert leq(a, b) == (hide[a] >= hide[b])
     a = MnPartition.make(3, 4, (4, 3, 1))
     b = MnPartition.make(3, 4, (4, 2, 2))
-    assert hide[partition_meet(a, b)] == hide[a] | hide[b]
-    assert hide[partition_join(a, b)] == hide[a] & hide[b]
+    assert hide[meet(a, b)] == hide[a] | hide[b]
+    assert hide[join(a, b)] == hide[a] & hide[b]
 
 
 # --- worked examples --------------------------------------------------------------

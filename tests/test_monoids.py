@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepal import constructions as cons
-from sepal.graphs import GraphError
+from sepal.graphs import GraphError, vertex_weight
+from sepal.homs import phi1, slot_name
 from sepal.monoids import (
     Budget,
     MonoidPresentation,
@@ -16,7 +17,6 @@ from sepal.monoids import (
     eliminate_identifications,
     format_presentation,
     format_vector,
-    gamma_images,
     grothendieck,
     leavitt_type,
     m1_of,
@@ -27,6 +27,7 @@ from sepal.monoids import (
     quotient_presentation,
     smith_normal_form,
 )
+from sepal.staralg import normal_form
 from sepal.sweeps import bipartite_sweep, weighted_sweep
 
 
@@ -730,18 +731,64 @@ def test_oracle_never_reads_the_graph_side(monkeypatch):
 
 # --- idempotent realizations -----------------------------------------------------------------
 
+def gamma_images(g):
+    """Idempotent realizations of the monoid generators of ``m1_of``, and
+    the labeled checks on them.
+
+    The class of a slot generator v(e,i) is represented on the source side
+    by the range projection of the mapped generator and on the range side
+    by its support projection; every defining monoid relation is checked
+    as an orthogonal decomposition of the vertex idempotent (summands
+    multiply pairwise to zero and add up to the vertex).
+    """
+    gmap = phi1(g)
+    alg = gmap.target
+    d = g.graph
+    images = {v: alg.vertex(v) for v in d.vertices}
+    source_side, range_side = {}, {}
+    checks = []
+    for e, _, _ in d.edges:
+        for i in range(1, g.w[e] + 1):
+            x = gmap.images[slot_name(e, i)]
+            p = normal_form(x * x.star())
+            q = normal_form(x.star() * x)
+            source_side[e, i], range_side[e, i] = p, q
+            images[cons.name_slot_vertex(e, i)] = p
+            checks.append((f"idem:{cons.name_slot_vertex(e, i)}",
+                           normal_form(p * p - p).is_zero
+                           and normal_form(q * q - q).is_zero))
+
+    def decomposition(label, parts, whole):
+        total = alg.zero()
+        for a in parts:
+            total = total + a
+        checks.append((label, normal_form(total - whole).is_zero and all(
+            normal_form(a * b).is_zero
+            for a, b in itertools.combinations(parts, 2))))
+
+    for v in d.vertices:
+        fiber = d.out_edges.get(v, ())
+        for i in range(1, vertex_weight(g, v) + 1):
+            parts = [source_side[e, i] for e in fiber if g.w[e] >= i]
+            decomposition(f"slots:{v}.{i}", parts, images[v])
+    for e, _, rng in d.edges:
+        parts = [range_side[e, i] for i in range(1, g.w[e] + 1)]
+        decomposition(f"edge:{e}", parts, images[rng])
+    return images, checks
+
+
 def test_gamma_images(wmax22):
-    rep = gamma_images(wmax22)
-    assert rep.all_ok
-    labels = [l for l, _ in rep.checks]
+    images, checks = gamma_images(wmax22)
+    assert all(ok for _, ok in checks)
+    labels = [l for l, _ in checks]
     assert "idem:v(e1,1)" in labels
     assert "slots:v.1" in labels and "slots:v.2" in labels
     assert "edge:e1" in labels and "edge:e2" in labels
-    assert set(rep.images) == {
+    assert set(images) == {
         "v", "v(e1,1)", "v(e1,2)", "v(e2,1)", "v(e2,2)"}
 
 
 def test_gamma_images_uneven(omega0_35):
-    rep = gamma_images(omega0_35)
-    assert rep.all_ok
-    assert len(rep.images) == 8
+    images, checks = gamma_images(omega0_35)
+    assert all(ok for _, ok in checks)
+    assert len(images) == 8
