@@ -317,8 +317,7 @@ def rho_tau(g: BipartiteSeparatedGraph) -> GeneratorMap:
 def phi_vw(g: WeightedGraph) -> GeneratorMap:
     """Indexed edge generators of a vertex-weighted graph into the algebra
     of its bipartite double: v -> v_1 and e.i -> h(s(e),i)* e~."""
-    double = cons.separated_of_vertex_weighted(g)
-    alg = StarAlgebra(double)
+    alg = StarAlgebra(cons.separated_of_vertex_weighted(g))
     images: dict[str, AlgElement] = {}
     for v in g.graph.vertices:
         images[v] = alg.vertex(cons.name_lower_copy(v))
@@ -326,14 +325,13 @@ def phi_vw(g: WeightedGraph) -> GeneratorMap:
         for i in range(1, g.w[e] + 1):
             images[slot_name(e, i)] = (alg.ghost(cons.name_h(s, i))
                                        * alg.edge(cons.name_tilde(e)))
-    return GeneratorMap("phi", alg, images, {"companion": double})
+    return GeneratorMap("phi", alg, images)
 
 
 def phi1(g: WeightedGraph) -> GeneratorMap:
     """Indexed edge generators of any weighted graph into the algebra of
     its direct companion: v -> v and e.i -> a{i}(e) a^e(i)*."""
-    companion = cons.separated_of_weighted(g)
-    alg = StarAlgebra(companion)
+    alg = StarAlgebra(cons.separated_of_weighted(g))
     images: dict[str, AlgElement] = {}
     for v in g.graph.vertices:
         images[v] = alg.vertex(v)
@@ -341,7 +339,7 @@ def phi1(g: WeightedGraph) -> GeneratorMap:
         for i in range(1, g.w[e] + 1):
             images[slot_name(e, i)] = (alg.edge(cons.name_slot_edge(i, e))
                                        * alg.ghost(cons.name_edge_slot(e, i)))
-    return GeneratorMap("phi1", alg, images, {"companion": companion})
+    return GeneratorMap("phi1", alg, images)
 
 
 def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:

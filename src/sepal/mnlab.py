@@ -178,8 +178,7 @@ def example_58_map(m: int, n: int) -> GeneratorMap:
                 images[slot_name(f"e{j}", i)] = alg.edge(f"x{j - m + 1}")
             else:
                 images[slot_name(f"e{j}", i)] = alg.zero()
-    return GeneratorMap("example58", alg, images,
-                        {"rose_loops": n - m + 1})
+    return GeneratorMap("example58", alg, images)
 
 
 def example_59_report(m: int, n: int,
@@ -206,8 +205,8 @@ def example_59_report(m: int, n: int,
     proper = [e for e in ideals if e.vertices and e.vertices != everything]
 
     quotient_data = None
-    if len(proper) == 1:
-        killed = proper[0].vertices
+    killed = proper[0].vertices if len(proper) == 1 else frozenset()
+    if killed:
         q = monoids.quotient_presentation(pres, killed)
         qslim = monoids.eliminate_identifications(q)
         qshape = monoids.grothendieck(q)
@@ -220,9 +219,10 @@ def example_59_report(m: int, n: int,
             "leavitt_type": [qtype.p, qtype.q],
         }
 
-    gmat = [[name if name else "0" for name in row]
-            for row in generator_matrix(p0)]
-    gmat[0][0] = "0"  # the unique proper ideal is generated by this slot
+    # a generator whose slot vertex lies in the proper ideal is zeroed
+    gmat = [[name if name and slot not in killed else "0"
+             for name, slot in zip(row, slots)]
+            for row, slots in zip(generator_matrix(p0), refinement_matrix(p0))]
 
     full = weighted_completion_of(m, n)
     rose_map = example_58_map(m, n)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, ge, sub
 from typing import Iterable, Sequence
 
@@ -45,9 +46,12 @@ class MonoidPresentation:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        n = len(self.generators)  # lengths only: signs cost several times more
+        n = len(self.generators)
         if any(len(l) != n or len(r) != n for l, r in self.relations):
             raise GraphError(f"relation sides must have {n} entries")
+        if min(chain.from_iterable(chain.from_iterable(self.relations)),
+               default=0) < 0:
+            raise GraphError("relation entries must be nonnegative")
         if not self.labels:
             object.__setattr__(
                 self, "labels",

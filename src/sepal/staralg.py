@@ -13,28 +13,28 @@ Every question about where a word starts and ends reads one table,
 ``StarAlgebra.ends``, which maps each letter to its (source, range): a
 vertex letter to (v, v), a direct letter e to (s(e), r(e)) and a ghost
 letter e* to (r(e), s(e)).  ``element`` accepts only words whose letters
-meet.  ``normal_form`` rewrites against two local patterns:
+meet.
 
-* a ghost letter followed by a direct letter of the same group collapses
-  to the range vertex (equal edges) or kills the term (distinct edges):
-  e* f = δ_ef r(e);
-* the pair e e* for the designated edge e of a group expands to the source
-  vertex minus the matching pairs g g* over the other group members.
+One table, ``StarAlgebra.rules``, holds the rewrite rules.  It maps the
+letter pair of a redex to the vertex word left when a splice is empty and
+the (letters, sign) pairs spliced in the pair's place:
 
-A product applies the first rule where two words meet, and nothing else.
-It groups its right operand by source vertex, then by the group of a
-direct first letter, and pairs each left word only with the words that
-start where it ends.  A left word ending in e* skips the bucket of e's
-group and splices only with the right words that start with e, so a sum
-over a group of g edges times its adjoint tries g pairs, not g².
+* e* e -> r(e), splicing in ((), +1), for every edge e;
+* e e* -> s(e), splicing in ((), +1) and ((g, g*), -1) for each other
+  member g of e's group, for the designated (greatest) edge e of a group.
 
-Two tables hold the groups.  ``group_of``, the graph's own, maps each edge
-to its group tuple, one shared object per group, so two letters share a
-group exactly when those tuples are the same object; ``designated`` is the
-set of each group's lexicographically greatest edge.  ``chosen`` lists the
-designated edges per vertex, in group order, for the CLI.  Irreducible
-words form a linear basis (Bergman's Diamond Lemma), so two elements are
-equal exactly when their normal forms match termwise.
+The rule e* f = 0 for f ≠ e in e's group needs no entries: it is the
+test ``group_of[e] is group_of[f]`` on the graph's table of group tuples,
+one shared object per group.  ``normal_form`` splices at the leftmost
+redex; a product applies only the (e*, e) entries, where two words meet.
+It pairs each left word only with the right words that start where it
+ends, and a left word ending in e* skips the bucket of e's group and
+splices only with the right words that start with e, so a sum over a
+group of g edges times its adjoint tries g pairs, not g².
+
+``chosen`` lists the designated edges per vertex, for the CLI.
+Irreducible words form a linear basis (Bergman's Diamond Lemma), so two
+elements are equal exactly when their normal forms match termwise.
 """
 
 from __future__ import annotations
@@ -68,16 +68,28 @@ class StarAlgebra:
         self.graph = graph
         self.sep = sep
         d = sep.graph
+        # each vertex word and edge letter is made once and shared by the
+        # tables and by ``vertex``, ``edge`` and ``ghost``: fewer live
+        # objects, fewer garbage collections
+        self._word = word = {v: ((v, VERTEX),) for v in d.vertices}
+        self._direct = direct = {e: (e, DIRECT) for e in d.edge_names}
+        self._ghost = ghost = {e: (e, GHOST) for e in d.edge_names}
         self.ends: dict[Letter, tuple[str, str]] = {
-            (v, VERTEX): (v, v) for v in d.vertices}
-        self.ends.update(((e, DIRECT), (s, r)) for e, s, r in d.edges)
-        self.ends.update(((e, GHOST), (r, s)) for e, s, r in d.edges)
+            w[0]: (v, v) for v, w in word.items()}
+        self.ends.update((direct[e], (s, r)) for e, s, r in d.edges)
+        self.ends.update((ghost[e], (r, s)) for e, s, r in d.edges)
         self.vertex_names = d.vertex_set
         self.group_of = sep.group_of
         self.chosen: dict[str, list[str]] = {
             v: [max(grp) for grp in groups] for v, groups in sep.separation}
-        self.designated = frozenset(
-            e for names in self.chosen.values() for e in names)
+        collapse = {v: (w, (((), 1),)) for v, w in word.items()}
+        self.rules: dict[tuple[Letter, Letter], tuple[Word, tuple]] = {
+            (ghost[e], direct[e]): collapse[r] for e, _, r in d.edges}
+        for v, groups in sep.separation:
+            for e, grp in zip(self.chosen[v], groups):
+                self.rules[direct[e], ghost[e]] = word[v], (
+                    ((), 1), *(((direct[g], ghost[g]), -1)
+                               for g in grp if g != e))
 
     def same_carrier(self, other: "StarAlgebra") -> bool:
         return self is other or self.sep == other.sep
@@ -88,19 +100,19 @@ class StarAlgebra:
         return AlgElement(self, {})
 
     def vertex(self, name: str) -> "AlgElement":
-        if name not in self.vertex_names:
+        if name not in self._word:
             raise AlgebraError(f"unknown vertex {name!r}")
-        return AlgElement(self, {((name, VERTEX),): 1})
+        return AlgElement(self, {self._word[name]: 1})
 
     def edge(self, name: str) -> "AlgElement":
-        if (name, DIRECT) not in self.ends:
+        if name not in self._direct:
             raise AlgebraError(f"unknown edge {name!r}")
-        return AlgElement(self, {((name, DIRECT),): 1})
+        return AlgElement(self, {(self._direct[name],): 1})
 
     def ghost(self, name: str) -> "AlgElement":
-        if (name, GHOST) not in self.ends:
+        if name not in self._ghost:
             raise AlgebraError(f"unknown edge {name!r}")
-        return AlgElement(self, {((name, GHOST),): 1})
+        return AlgElement(self, {(self._ghost[name],): 1})
 
     def element(self, terms: dict[Word, Coeff]) -> "AlgElement":
         """An element from words of this graph: each word is non-empty,
@@ -140,9 +152,10 @@ class AlgElement:
 
     The arithmetic operators are raw but for one rule: ``+`` and ``-``
     collect words and never rewrite, and ``*`` (the product of two
-    elements) applies e* f = δ_ef r(e) where a left word ending in e* meets
-    a right word starting with f in e's group, and nothing else; the e e*
-    expansion and every redex inside a word stay with ``normal_form``.
+    elements) drops a pair where a left word ending in e* meets a right
+    word starting with f ≠ e in e's group, and applies the table's (e*, e)
+    entry where it meets one starting with e; the e e* entries and every
+    redex inside a word stay with ``normal_form``.
     ``scale`` multiplies by a scalar.  Use ``normal_form`` for normalized
     results.
     """
@@ -183,7 +196,7 @@ class AlgElement:
     def __mul__(self, other: "AlgElement") -> "AlgElement":
         self._need_same(other)
         alg = self.alg
-        ends, group_of = alg.ends, alg.group_of
+        ends, group_of, rules = alg.ends, alg.group_of, alg.rules
         # right words by source vertex: those that start with a ghost or a
         # vertex in one list, those that start with a direct letter in one
         # bucket per group (named by its first edge) and again by that letter
@@ -208,16 +221,18 @@ class AlgElement:
                 _collect(out, wa if head and wb[0][1] == VERTEX
                          else head + wb, ca * cb)
             for key, bucket in buckets.items() if buckets else ():
-                # e* f with f in e's group is left to the seam rule below,
-                # which reads only the words that start with e
-                if kind == GHOST and _ghost_direct(alg, name, key) is not None:
+                # e* f with f in e's group is 0 for f ≠ e; e* e is left to
+                # the seam below, which reads only the words that start with e
+                if kind == GHOST and group_of[key] is group_of[name]:
                     continue
                 for wb, cb in bucket:
                     _collect(out, head + wb, ca * cb)
-            if kind == GHOST:  # h e* . e t = h t, or r(e) when both are empty
-                for wb, cb in by_first.get(name, ()):
-                    for u in _ghost_direct(alg, name, name):
-                        _collect(out, wa[:-1] + wb[1:] or u, ca * cb)
+            if kind == GHOST and name in by_first:  # h e* . e t, by (e*, e)
+                u, splices = rules[last, (name, DIRECT)]
+                for wb, cb in by_first[name]:
+                    for mid, sign in splices:
+                        _collect(out, wa[:-1] + mid + wb[1:] or u,
+                                 sign * ca * cb)
         return AlgElement(alg, out)
 
     def star(self) -> "AlgElement":
@@ -261,50 +276,31 @@ def format_element(elem: AlgElement) -> str:
     return " ".join(parts)
 
 
-def _ghost_direct(alg: StarAlgebra, e: str, f: str) -> tuple[Word, ...] | None:
-    """The rule e* f = δ_ef r(e) for edges e and f of one group: the words
-    e* f becomes, the vertex word r(e) when f = e and none otherwise.  None
-    when e and f lie in different groups, where no rule applies."""
-    if alg.group_of[e] is not alg.group_of[f]:
-        return None
-    return (((alg.ends[(e, GHOST)][0], VERTEX),),) if e == f else ()
-
-
 def _first_redex(alg: StarAlgebra, word: Word) -> int | None:
     """Where the leftmost redex of ``word`` starts, or None: e* f with e, f
-    in one group, or e e* with e designated."""
-    designated = alg.designated
+    in one group, or a key of ``alg.rules``.  Every redex joins letters of
+    two kinds and every key a letter to its star, so those cheap tests come
+    before the key is looked up."""
+    group_of, rules = alg.group_of, alg.rules
     for i in range(len(word) - 1):
-        n1, k1 = word[i]
-        n2, k2 = word[i + 1]
-        if k1 == GHOST:
-            if k2 == DIRECT and _ghost_direct(alg, n1, n2) is not None:
+        a, b = word[i], word[i + 1]
+        if a[1] == GHOST:
+            if b[1] == DIRECT and group_of[a[0]] is group_of[b[0]]:
                 return i
-        elif k1 == DIRECT and k2 == GHOST and n1 == n2 and n1 in designated:
+        elif b[1] == GHOST and a[0] == b[0] and (a, b) in rules:
             return i
     return None
 
 
-def _rewrite(alg: StarAlgebra, word: Word, i: int) -> list[tuple[Word, int]]:
-    (n1, k1), (n2, _) = word[i], word[i + 1]
-    rest = word[:i] + word[i + 2:]
-    if k1 == GHOST:
-        return [(rest or v, 1) for v in _ghost_direct(alg, n1, n2)]
-    # e e* expands around s(e)
-    out = [(rest or ((alg.ends[word[i]][0], VERTEX),), 1)]
-    for g in alg.group_of[n1]:
-        if g != n1:
-            out.append((word[:i] + ((g, DIRECT), (g, GHOST))
-                        + word[i + 2:], -1))
-    return out
-
-
 def normal_form(elem: AlgElement) -> AlgElement:
     """Rewrite every term to the irreducible basis, always at its leftmost
-    redex.  The rules are confluent and each step shrinks a well-founded
-    term measure, so every choice of redex gives this answer; the tests
-    check it against a rewriter with its own rules and random redexes."""
+    redex: the redex's entry in ``alg.rules`` splices in its place, and an
+    e* f with no entry kills the term.  The rules are confluent and each
+    step shrinks a well-founded term measure, so every choice of redex
+    gives this answer; the tests check it against a rewriter with its own
+    rules and random redexes."""
     alg = elem.alg
+    rules = alg.rules
     pending = dict(elem.terms)
     done: dict[Word, Coeff] = {}
     while pending:
@@ -313,8 +309,10 @@ def normal_form(elem: AlgElement) -> AlgElement:
         if i is None:
             _collect(done, word, coeff)
             continue
-        for new_word, sign in _rewrite(alg, word, i):
-            _collect(pending, new_word, sign * coeff)
+        u, splices = rules.get((word[i], word[i + 1]), (None, ()))
+        head, tail = word[:i], word[i + 2:]
+        for mid, sign in splices:
+            _collect(pending, head + mid + tail or u, sign * coeff)
     return AlgElement(alg, done)
 
 

@@ -186,6 +186,7 @@ def test_eliminate_matches_the_case_by_case_reduction_on_companions(g):
 MISLABELED = (("a", "b", "c"), (((1, 0, 0), (0, 1, 0)),
                                 ((0, 1, 0), (0, 0, 2))), ("only",))
 SHORT_SIDE = (("a", "b"), (((1,), (0, 1)),))
+NEGATIVE = (("a", "b"), (((2, -1), (0, 0)),))
 
 
 @pytest.mark.parametrize("fields, use, message", [
@@ -195,12 +196,17 @@ SHORT_SIDE = (("a", "b"), (((1,), (0, 1)),))
     (SHORT_SIDE, grothendieck, "relation sides must have 2 entries"),
     (SHORT_SIDE, lambda p: congruent(p, (1, 0), (0, 1)),
      "relation sides must have 2 entries"),
+    (NEGATIVE, eliminate_identifications,
+     "relation entries must be nonnegative"),
+    (NEGATIVE, lambda p: congruent(p, (2, 0), (0, 1)),
+     "relation entries must be nonnegative"),
 ], ids=["labels-quotient", "labels-eliminate", "short-grothendieck",
-        "short-congruent"])
+        "short-congruent", "negative-eliminate", "negative-congruent"])
 def test_presentation_refuses_a_misshapen_relation_list(fields, use, message):
     # without the check the quotient dropped the unlabeled relation (Z for
     # Z x Z), the reduction and G(M) raised IndexError, and the word
-    # problem answered yes through the vector (0,)
+    # problem answered yes through the vector (0,); a negative entry made
+    # the reduction raise a bare ValueError, and 2a ~ b answered yes
     with pytest.raises(GraphError) as exc:
         use(MonoidPresentation(*fields))
     assert str(exc.value) == message

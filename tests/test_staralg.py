@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sepal import staralg
 from sepal.constructions import (
     bratteli,
     build_emn,
@@ -148,6 +147,38 @@ def mul_by_all_pairs(a, b, seam=True):
     return {w: c for w, c in out.items() if c != 0}
 
 
+def redex_pairs(alg):
+    """Every letter pair that is a redex: a key of ``alg.rules``, or e* f
+    with e, f in one group (groups read from the separation)."""
+    pairs = set(alg.rules)
+    for _, groups in alg.sep.separation:
+        for grp in groups:
+            pairs.update(((e, GHOST), (f, DIRECT)) for e in grp for f in grp)
+    return pairs
+
+
+def one_step(alg, word, i):
+    """``word`` rewritten once at the redex i by its entry in ``alg.rules``,
+    or 0 for an e* f with no entry."""
+    u, splices = alg.rules.get((word[i], word[i + 1]), (None, ()))
+    return alg.element({word[:i] + mid + word[i + 2:] or u: sign
+                        for mid, sign in splices})
+
+
+def unresolved_overlaps(alg):
+    """The overlaps a b c, with a b and b c both redexes, whose two one-step
+    rewrites reach different normal forms.  The rules terminate (``nf_oracle``
+    checks a term measure), so by Bergman's Diamond Lemma the irreducible
+    words are a basis exactly when this list is empty."""
+    pairs = redex_pairs(alg)
+    after = {}
+    for a, b in pairs:
+        after.setdefault(a, []).append(b)
+    return [(a, b, c) for a, b in pairs for c in after.get(b, ())
+            if nf(one_step(alg, (a, b, c), 0))
+            != nf(one_step(alg, (a, b, c), 1))]
+
+
 @pytest.fixture(scope="module")
 def A23(e23):
     return StarAlgebra(e23)
@@ -216,13 +247,17 @@ def test_separated_relations_rewrite_to_zero(A23):
 # --- engine behaviour ---------------------------------------------------------
 
 def test_oracle_catches_a_wrong_rewrite_rule(A23, monkeypatch):
-    # a rewriter that drops one g g* term from e e* = s(e) - sum g g*
-    rewrite = staralg._rewrite
-    monkeypatch.setattr(staralg, "_rewrite",
-                        lambda alg, word, i: rewrite(alg, word, i)[:2])
+    # a table that drops one g g* splice from e3 e3* = v - e1 e1* - e2 e2*
+    assert unresolved_overlaps(A23) == []
+    key = (("e3", DIRECT), ("e3", GHOST))
+    u, splices = A23.rules[key]
+    monkeypatch.setitem(A23.rules, key, (u, splices[:2]))
     x = A23.edge("e3") * A23.ghost("e3")
     assert nf(x) == parse_element("v - e1 e1*", A23)
     assert nf(x) != nf_oracle(x)
+    # e2* e3 e3* rewrites to 0 by e2* e3, but to e2* by the mutant entry
+    assert (("e2", GHOST), ("e3", DIRECT), ("e3", GHOST)) in \
+        unresolved_overlaps(A23)
 
 
 def test_involution_and_associativity(A23):
@@ -342,20 +377,14 @@ def test_seam_rule_keeps_normal_forms(pair):
     assert nf(a * b) == nf(raw)
 
 
-def collapse_at_source(rule):
-    """Mutant seam rule: e* e gives s(e), not r(e)."""
-    def mutant(alg, e, f):
-        words = rule(alg, e, f)
-        return words and (((alg.ends[(e, DIRECT)][0], VERTEX),),)
-    return mutant
+def collapse_at_source(alg, e, entry):
+    """Mutant (e*, e) entry: e* e gives s(e), not r(e)."""
+    return ((alg.ends[(e, DIRECT)][0], VERTEX),), entry[1]
 
 
-def drop_every_pair(rule):
-    """Mutant seam rule: e* e dies with the rest of e's group."""
-    def mutant(alg, e, f):
-        words = rule(alg, e, f)
-        return None if words is None else ()
-    return mutant
+def drop_every_pair(alg, e, entry):
+    """Mutant (e*, e) entry: e* e dies with the rest of e's group."""
+    return entry[0], ()
 
 
 @pytest.mark.parametrize("mutant", [collapse_at_source, drop_every_pair])
@@ -368,10 +397,20 @@ def test_oracles_catch_seam_mutants(A23, monkeypatch, mutant):
     assert (a * b).terms == mul_by_all_pairs(a, b)
     raw = A23.element(mul_by_all_pairs(a, b, seam=False))
     assert nf(raw) == nf_oracle(raw)
-    monkeypatch.setattr(staralg, "_ghost_direct",
-                        mutant(staralg._ghost_direct))
+    for e in A23.sep.graph.edge_names:
+        key = ((e, GHOST), (e, DIRECT))
+        monkeypatch.setitem(A23.rules, key, mutant(A23, e, A23.rules[key]))
     assert (a * b).terms != mul_by_all_pairs(a, b)
     assert nf(raw) != nf_oracle(raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(carriers((1, 2)))
+def test_every_overlap_resolves(alg):
+    # one (e*, e) entry per edge and one (e, e*) entry per group
+    groups = sum(len(gs) for _, gs in alg.sep.separation)
+    assert len(alg.rules) == len(alg.sep.graph.edges) + groups
+    assert unresolved_overlaps(alg) == []
 
 
 @st.composite
