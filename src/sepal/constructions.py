@@ -11,12 +11,26 @@ vertices and edges are canonical strings, built only by the ``name_*``
 helpers, so two runs over equal inputs produce identical graphs; downstream
 comparisons rely on this, and so does the check in the tests that the
 quotient of the resolved completion is the direct companion (Theorem 3.10).
+
+The layout of a one-step resolution is a contract too, and
+``one_step_resolution`` alone makes it:
+
+* the old lower vertices form the new upper level; the new lower vertices
+  follow them, upper vertex by upper vertex, each run in the product
+  order of the choice tuples over that vertex's groups;
+* the edges run tuple by tuple, and within a tuple by position;
+* group j at each new upper vertex w is the group spawned by
+  ``in_edges(w)[j]`` (``homs.phi0`` relies on this);
+* the names within a group are sorted.
+
+Union k of a Bratteli tower extends union k-1 by layer k's new lower
+vertices, its edges and its groups.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import chain, product, repeat
 from typing import Iterable, Sequence
 
 from .graphs import (
@@ -77,6 +91,16 @@ def name_edge_slot(e: str, i: int) -> str:
     return f"a^{e}({i})"
 
 
+# a name built with a blank for one part, then filled with each value of
+# that part; no valid name holds whitespace, so the blank is the only one
+_BLANK = " "
+
+
+def _fill(templates: list[str], part: str) -> list[str]:
+    """The names in ``templates`` with ``part`` in place of the blank."""
+    return list(map(str.replace, templates, repeat(_BLANK), repeat(part)))
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -135,11 +159,18 @@ def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
 def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
     """Resolve each upper fiber: new lower vertices are the choice tuples
     across the groups of an upper vertex, and each old edge x spawns the
-    group of edges a^x(...) out of r(x), one per complementary tuple.
+    group of edges a^x(rest) out of r(x), one per complementary tuple.
 
-    The one place that lays out a resolution: the old lower vertices form
-    the new upper level, and group j at each of them, w, is the group
-    spawned by ``in_edges(w)[j]``.  ``homs.phi0`` relies on this order.
+    The layout is the one the module docstring states: new lower vertices
+    in product order per upper vertex, edges tuple-major and then by
+    position, group j at w spawned by ``in_edges(w)[j]``, and the names
+    within a group sorted.
+
+    Each upper vertex is built one column per position.  ``name_alpha``
+    names each rest once, with a blank for the spawning edge, and each
+    edge of the group fills the blank (``name_tuple_vertex`` likewise
+    names the tuples with a blank first entry); so no helper runs per
+    edge, and the edge triples are zipped from the columns.
     """
     g = as_bipartite(g)
     if not g.is_proper:
@@ -147,19 +178,38 @@ def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
     d = g.base.graph
     new_lower: list[str] = []
     edges: list[tuple[str, str, str]] = []
-    spawned: dict[str, list[str]] = {x: [] for x in d.edge_names}
+    spawned: dict[str, list[str]] = {}
     for u in g.upper:
-        for tup in itertools.product(*g.sep[u]):
-            tv = name_tuple_vertex(tup)
-            new_lower.append(tv)
-            for i, x in enumerate(tup):
-                alpha = name_alpha(x, tup[:i] + tup[i + 1:])
-                spawned[x].append(alpha)
-                edges.append((alpha, d.rng(x), tv))
-    sep = {w: [spawned[x] for x in d.in_edges[w]] for w in g.lower}
-    graph = DirectedGraph.make(g.lower + tuple(new_lower), edges)
-    return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
-                                        upper=g.lower, lower=tuple(new_lower))
+        groups = g.sep[u]
+        templates = [name_tuple_vertex((_BLANK, *rest))
+                     for rest in product(*groups[1:])]
+        tuple_vertices = [v for x in groups[0] for v in _fill(templates, x)]
+        columns = []
+        after = len(tuple_vertices)
+        for i, grp in enumerate(groups):
+            after //= len(grp)
+            templates = [name_alpha(_BLANK, rest) for rest in
+                         product(*groups[:i], *groups[i + 1:])]
+            names = [_fill(templates, x) for x in grp]
+            spawned.update(zip(grp, names))
+            # the names x spawns run over the rests, prefix first; tuple
+            # order puts x between the prefix and the suffix, so cut each
+            # list into one run per prefix and interleave the runs
+            runs = zip(*(zip(*[iter(ns)] * after) for ns in names))
+            columns.append(chain.from_iterable(chain.from_iterable(runs)))
+        ranges = [[d.rng(x) for x in grp] for grp in groups]
+        new_lower += tuple_vertices
+        edges += zip(chain.from_iterable(zip(*columns)),
+                     chain.from_iterable(product(*ranges)),
+                     chain.from_iterable(zip(*[tuple_vertices] * len(groups))))
+    # the groups are stored as SeparatedGraph.make stores them: in the
+    # order of g.lower, and sorted (the names are all strings)
+    lower = tuple(new_lower)
+    sep = tuple((w, tuple(tuple(sorted(spawned[x])) for x in d.in_edges[w]))
+                for w in g.lower)
+    graph = DirectedGraph(g.lower + lower, tuple(edges))
+    return BipartiteSeparatedGraph(SeparatedGraph(graph, sep),
+                                   upper=g.lower, lower=lower)
 
 
 def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
@@ -210,6 +260,9 @@ class BratteliTower:
 
 def bratteli(g: BipartiteSeparatedGraph, depth: int,
              cap: int = 10 ** 6) -> BratteliTower:
+    """The first ``depth`` resolutions of g and their unions.  Union k
+    extends union k-1 by layer k's new lower vertices, edges and groups;
+    ``ResourceLimitError`` before a layer would exceed ``cap`` edges."""
     g = as_bipartite(g)
     if depth < 0:
         raise GraphError("depth must be nonnegative")
@@ -226,17 +279,22 @@ def bratteli(g: BipartiteSeparatedGraph, depth: int,
                 raise ResourceLimitError(
                     f"next layer would exceed {cap} edges")
         layers.append(one_step_resolution(top))
-    # layer k+1's upper level is layer k's lower level: each layer adds
-    # only new lower vertices, edges and groups to the union
-    vertices, edges, sep = list(g.vertices), [], {}
-    unions = []
-    for k, layer in enumerate(layers):
-        if k:
-            vertices += layer.lower
-        edges += layer.edges
-        sep.update(layer.separation)
-        unions.append(SeparatedGraph.make(
-            DirectedGraph.make(vertices, edges), sep))
+    # layer k+1's upper level is layer k's lower level, so union k extends
+    # union k-1 by layer k's new lower vertices, edges and groups.  Only
+    # union 1 orders its groups anew, by g's vertices, as g's levels may
+    # interleave; later groups sit at the last vertices of the union.
+    unions = [SeparatedGraph.make(DirectedGraph.make(g.vertices, g.edges),
+                                  g.sep)]
+    for k, layer in enumerate(layers[1:], 1):
+        prev = unions[-1]
+        if k == 1:
+            groups = {**prev.sep, **layer.sep}
+            sep = tuple((v, groups[v]) for v in g.vertices if v in groups)
+        else:
+            sep = prev.separation + layer.separation
+        unions.append(SeparatedGraph(
+            DirectedGraph(prev.vertices + layer.lower,
+                          prev.edges + layer.edges), sep))
     return BratteliTower(tuple(layers), tuple(unions))
 
 

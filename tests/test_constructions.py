@@ -1,6 +1,9 @@
 import functools
+import inspect
 import itertools
+import math
 import random
+import textwrap
 from collections import Counter
 
 import pytest
@@ -174,7 +177,6 @@ def test_resolution_count_formula():
 def test_resolution_singleton_groups_degenerate():
     # every group a singleton: one tuple per upper vertex, alpha over empty rest
     d = DirectedGraph.make(("u", "w"), [("e", "u", "w")])
-    g = cons.as_bip(d) if hasattr(cons, "as_bip") else None
     s = SeparatedGraph.make(d, {"u": [["e"]]})
     from sepal.graphs import BipartiteSeparatedGraph
     b = BipartiteSeparatedGraph.make(s)
@@ -433,16 +435,105 @@ def test_resolution_layout_matches_the_names(g, depth):
         assert union == want
 
 
+def resolution_by_tuples(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
+    """Reference for ``one_step_resolution``: one loop over the choice
+    tuples, naming every edge a^x(rest) with its own ``name_alpha`` call."""
+    d = g.graph
+    new_lower: list[str] = []
+    edges: list[tuple[str, str, str]] = []
+    spawned: dict[str, list[str]] = {x: [] for x in d.edge_names}
+    for u in g.upper:
+        for tup in itertools.product(*g.sep[u]):
+            tv = cons.name_tuple_vertex(tup)
+            new_lower.append(tv)
+            for i, x in enumerate(tup):
+                alpha = cons.name_alpha(x, tup[:i] + tup[i + 1:])
+                spawned[x].append(alpha)
+                edges.append((alpha, d.rng(x), tv))
+    sep = {w: [spawned[x] for x in d.in_edges[w]] for w in g.lower}
+    graph = DirectedGraph.make(g.lower + tuple(new_lower), edges)
+    return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
+                                        upper=g.lower, lower=tuple(new_lower))
+
+
+def resolves_by_tuples(g, depth: int, resolve=None) -> bool:
+    """Whether ``resolve`` (``one_step_resolution`` by default) gives the
+    reference's graph value on g and on each of its first ``depth - 1``
+    resolutions."""
+    resolve = resolve or cons.one_step_resolution
+    for _ in range(depth):
+        nxt = resolve(g)
+        if nxt != resolution_by_tuples(g):
+            return False
+        g = nxt
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_tower_bases() + bipartite_sweep() + [MIXED_LEVELS]),
+       st.integers(1, 2))
+@example(MIXED_LEVELS, 2)
+def test_resolution_matches_the_tuple_loop(g, depth):
+    # equal as values: vertex, edge and group order and every name
+    assert resolves_by_tuples(g, depth)
+
+
+def test_resolution_matches_the_tuple_loop_on_e23_layer_3(e23):
+    layers = cons.bratteli(e23, 3).layers
+    assert layers[3] == resolution_by_tuples(layers[2])
+    assert len(layers[3].edges) == 10368
+
+
+def resolution_mutant(old: str, new: str):
+    """``one_step_resolution`` with ``old`` replaced by ``new`` in its
+    source, run over the module's own names."""
+    source = textwrap.dedent(inspect.getsource(cons.one_step_resolution))
+    assert source.count(old) == 1, old
+    names = dict(vars(cons))
+    exec(source.replace(old, new), names)
+    return names["one_step_resolution"]
+
+
+RESOLUTION_MUTANTS = {
+    "rests-over-reversed-groups":
+        ("product(*groups[:i], *groups[i + 1:])",
+         "product(*groups[i + 1:][::-1], *groups[:i][::-1])"),
+    "columns-in-reversed-positions":
+        ("zip(*columns)", "zip(*columns[::-1])"),
+}
+
+
+@pytest.mark.parametrize("old, new", RESOLUTION_MUTANTS.values(),
+                         ids=RESOLUTION_MUTANTS.keys())
+def test_tuple_loop_catches_resolution_mutants(e23, old, new):
+    assert resolves_by_tuples(e23, 2)
+    assert not resolves_by_tuples(e23, 2, resolution_mutant(old, new))
+
+
 def test_each_resolved_edge_is_named_once(monkeypatch, e23):
-    named = []
-    real = cons.name_alpha
-    monkeypatch.setattr(cons, "name_alpha",
-                        lambda x, rest: named.append(x) or real(x, rest))
+    # the builder calls name_alpha once per rest, with a blank for the
+    # spawning edge, and name_tuple_vertex once per rest of the first
+    # position; no helper runs per edge
+    calls = Counter()
+    for helper in ("name_alpha", "name_tuple_vertex"):
+        real = getattr(cons, helper)
+        monkeypatch.setattr(cons, helper, lambda *args, real=real, helper=helper:
+                            calls.update((helper,)) or real(*args))
     tower = cons.bratteli(e23, 3)
-    assert len(named) == sum(len(l.edges) for l in tower.layers[1:]) == 10740
-    named.clear()
+    rests = firsts = 0
+    for layer in tower.layers[:-1]:
+        for _, groups in layer.separation:
+            tuples = math.prod(map(len, groups))
+            rests += sum(tuples // len(grp) for grp in groups)
+            firsts += tuples // len(groups[0])
+    assert calls == {"name_alpha": rests, "name_tuple_vertex": firsts}
+    assert (rests, firsts) == (521, 182)
+    names = [e for layer in tower.layers[1:] for e in layer.graph.edge_names]
+    assert len(set(names)) == len(names) == 10740
+    calls.clear()
     gmap = phi0(tower.layers[1])
-    assert len(named) == len(gmap.meta["resolution"].edges) == 360
+    assert calls["name_alpha"] == 156       # the rests at w, once each
+    assert len(gmap.meta["resolution"].edges) == 360
 
 
 def test_bratteli_cap(e23):

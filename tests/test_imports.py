@@ -4,6 +4,7 @@ so this walks the syntax tree of each module in ``src/sepal/`` (the package
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -101,3 +102,28 @@ def test_public_names_have_a_caller():
                for n in public_names_without_caller(CALLER_FILES)}
     assert sorted(orphans.keys() - KEPT_FOR_TESTS) == []
     assert KEPT_FOR_TESTS <= orphans.keys(), "a kept name now has a caller"
+
+
+# pyproject.toml sets requires-python = ">=3.10", so every source file must
+# parse with the 3.10 grammar
+PYTHON_FLOOR = (3, 10)
+FLOOR_FILES = sorted({*MODULES, (ROOT / "src" / "sepal" / "__init__.py"),
+                      *(ROOT / "sepalbench").rglob("*.py"),
+                      *(ROOT / "tests").glob("*.py")})
+
+
+@pytest.mark.parametrize("path", FLOOR_FILES,
+                         ids=[p.relative_to(ROOT).as_posix() for p in FLOOR_FILES])
+def test_sources_parse_at_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+              feature_version=PYTHON_FLOOR)
+
+
+def test_the_floor_parse_refuses_newer_syntax():
+    # except* is 3.11 syntax: later interpreters parse it unless told to
+    # stop at the floor
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    if sys.version_info >= (3, 11):
+        ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=PYTHON_FLOOR)
