@@ -30,22 +30,15 @@ def main() -> int:
     else:
         g = build_emn(args.m, args.n)
 
-    try:
-        tower = bratteli(g, args.depth, cap=args.cap)
-        capped = False
-    except ResourceLimitError:
-        # back off one layer at a time until the tower fits
-        capped = True
-        depth = args.depth
-        while depth > 0:
-            depth -= 1
-            try:
-                tower = bratteli(g, depth, cap=args.cap)
-                break
-            except ResourceLimitError:
-                continue
-        else:
-            tower = bratteli(g, 0, cap=args.cap)
+    # back off one layer at a time until the tower fits, which it does at
+    # depth 0; a negative depth is tried once, for bratteli to refuse
+    for depth in range(args.depth, min(args.depth, 0) - 1, -1):
+        try:
+            tower = bratteli(g, depth, cap=args.cap)
+            break
+        except ResourceLimitError:
+            continue
+    capped = depth < args.depth
 
     print(f"{'layer':>5} {'upper':>7} {'lower':>9} {'edges':>10} "
           f"{'groups':>7}")

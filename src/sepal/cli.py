@@ -279,13 +279,12 @@ def _cmd_monoid(ns):
         return "unknown", payload, _prov(g, budget=budget), [
             "no (p, q) within budget"]
     if ns.what == "order-ideals":
-        entries = monoids.order_ideals(g)
-        payload = {"count": len(entries),
-                   "ideals": [{"vertices": sorted(e.vertices),
-                               "generators": list(e.generators)}
-                              for e in entries]}
-        lines = [f"{len(entries)} order ideals"] + [
-            "  {" + " ".join(e.generators) + "}" for e in entries]
+        ideals = [sorted(e.vertices) for e in monoids.order_ideals(g)]
+        payload = {"count": len(ideals),
+                   "ideals": [{"vertices": h, "generators": h}
+                              for h in ideals]}
+        lines = [f"{len(ideals)} order ideals"] + [
+            "  {" + " ".join(h) + "}" for h in ideals]
         return "ok", payload, _prov(g), lines
     if ns.what == "congruent":
         if ns.x is None or ns.y is None:

@@ -11,6 +11,8 @@ vertices and edges are canonical strings, built only by the ``name_*``
 helpers, so two runs over equal inputs produce identical graphs; downstream
 comparisons rely on this, and so does the check in the tests that the
 quotient of the resolved completion is the direct companion (Theorem 3.10).
+The resolution and the direct companion raise ``GraphError`` rather than
+use one name twice in the graph they build.
 
 The layout of a one-step resolution is a contract too, and
 ``one_step_resolution`` alone makes it:
@@ -99,6 +101,16 @@ _BLANK = " "
 def _fill(templates: list[str], part: str) -> list[str]:
     """The names in ``templates`` with ``part`` in place of the blank."""
     return list(map(str.replace, templates, repeat(_BLANK), repeat(part)))
+
+
+def _refuse_repeats(names: list[str], what: str) -> None:
+    """``GraphError`` naming the first name that ``names`` holds twice.
+    Generated names share the name space of the input, so a generated name
+    can repeat a kept one, or two different parts can join to one name."""
+    if len(set(names)) < len(names):
+        seen: set[str] = set()
+        twice = next(x for x in names if x in seen or seen.add(x))
+        raise GraphError(f"{what} would use the name {twice!r} twice")
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +214,9 @@ def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
         edges += zip(chain.from_iterable(zip(*columns)),
                      chain.from_iterable(product(*ranges)),
                      chain.from_iterable(zip(*[tuple_vertices] * len(groups))))
+    _refuse_repeats([*g.lower, *new_lower,
+                     *chain.from_iterable(spawned.values())],
+                    "the one-step resolution")
     # the groups are stored as SeparatedGraph.make stores them: in the
     # order of g.lower, and sorted (the names are all strings)
     lower = tuple(new_lower)
@@ -241,6 +256,9 @@ def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
             groups.append(grp)
         if groups:
             sep[v] = groups
+    # the generated names cannot repeat one another, only an input vertex
+    _refuse_repeats([*d.vertices, *lower, *(e for e, _, _ in edges)],
+                    "the direct companion")
     graph = DirectedGraph.make(d.vertices + lower, edges)
     return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
                                         upper=d.vertices, lower=lower)

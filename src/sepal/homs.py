@@ -456,7 +456,8 @@ def ideal_generators(kind: str, g, bound: int | None = None,
                      subset=None) -> list[tuple[str, AlgElement]]:
     """Labeled generating families for the distinguished ideals.
 
-    ``i0``: diagonal-support words of a vertex-weighted graph, as images
+    ``i0``: the relations of ``weighted-l1`` beyond those of L(E,w), the
+    ``offdiag`` and ``offedge`` words of a vertex-weighted graph, as images
     under phi_vw.  ``kernel``: all nonzero kernel words of the one-step
     resolution map.  ``commutator``: commutators of range projections
     u u* over semigroup words up to ``bound`` letters (indexed generators
@@ -471,23 +472,14 @@ def ideal_generators(kind: str, g, bound: int | None = None,
             raise GraphError("i0 images need a vertex-weighted graph")
         gmap = phi_vw(g)
         out = []
-        d = g.graph
-        for e, _, _ in d.edges:
-            for i in range(1, g.w[e] + 1):
-                for j in range(1, g.w[e] + 1):
-                    if i != j:
-                        el = normal_form(gmap.images[slot_name(e, i)]
-                                         * gmap.images[slot_name(e, j)].star())
-                        out.append((f"i0:offdiag:{e}.{i}.{j}", el))
-        for v in d.vertices:
-            for e in d.out_edges.get(v, ()):
-                for f in d.out_edges.get(v, ()):
-                    if e == f:
-                        continue
-                    for i in range(1, min(g.w[e], g.w[f]) + 1):
-                        el = normal_form(gmap.images[slot_name(e, i)].star()
-                                         * gmap.images[slot_name(f, i)])
-                        out.append((f"i0:offedge:{e}.{f}.{i}", el))
+        for label, terms in relations("weighted-l1", g).relations:
+            if label.startswith("offdiag:"):
+                out.append((f"i0:{label}", evaluate(terms, gmap)))
+            elif label.startswith("offedge:"):
+                # the one word is (e.i)* (f.i), and e may hold a "."
+                (((ei, _), (fi, _)),) = terms
+                e = ei.rpartition(".")[0]
+                out.append((f"i0:offedge:{e}.{fi}", evaluate(terms, gmap)))
         return out
 
     if kind == "kernel":

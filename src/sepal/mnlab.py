@@ -57,20 +57,12 @@ class MnPartition:
 
 
 def partitions(m: int, n: int) -> list[MnPartition]:
-    """All (m, n) partitions, in decreasing lexicographic order."""
+    """All (m, n) partitions, in decreasing lexicographic order: n, then
+    each weakly decreasing choice of m - 1 parts from n, ..., 1."""
     if m < 1 or n < 1:
         raise GraphError("need m >= 1 and n >= 1")
-    out: list[MnPartition] = []
-
-    def rec(acc: list[int]):
-        if len(acc) == m:
-            out.append(MnPartition(m, n, tuple(acc)))
-            return
-        for val in range(acc[-1], 0, -1):
-            rec(acc + [val])
-
-    rec([n])
-    return out
+    return [MnPartition(m, n, (n, *rest)) for rest in
+            itertools.combinations_with_replacement(range(n, 0, -1), m - 1)]
 
 
 def minimal_partition(m: int, n: int) -> MnPartition:
@@ -86,27 +78,30 @@ def partition_to_weighted(p: MnPartition) -> WeightedGraph:
     return WeightedGraph.make(graph, weights)
 
 
+def _slot_grid(p: MnPartition, cell, blank=None) -> tuple[tuple, ...]:
+    """The m x n slot grid that the shape, refinement and generator matrices
+    share: ``cell(e{j}, i)`` at (i, j) where slot i exists on edge j, that
+    is j <= parts[i-1], and ``blank`` elsewhere."""
+    return tuple(
+        tuple(cell(f"e{j}", i) if j <= part else blank
+              for j in range(1, p.n + 1))
+        for i, part in enumerate(p.parts, 1))
+
+
 def shape_matrix(p: MnPartition) -> Matrix:
-    return tuple(tuple(1 if j <= p.parts[i] else 0 for j in range(1, p.n + 1))
-                 for i in range(p.m))
+    return _slot_grid(p, lambda e, i: 1, 0)
 
 
 def refinement_matrix(p: MnPartition) -> tuple[tuple[str | None, ...], ...]:
     """Slot-vertex names arranged by (slot, edge); row i lists the terms of
     the slot relation at i, column j the terms of the edge relation of e_j."""
-    return tuple(
-        tuple(cons.name_slot_vertex(f"e{j}", i) if j <= p.parts[i - 1]
-              else None for j in range(1, p.n + 1))
-        for i in range(1, p.m + 1))
+    return _slot_grid(p, cons.name_slot_vertex)
 
 
 def generator_matrix(p: MnPartition) -> tuple[tuple[str | None, ...], ...]:
     """Indexed edge generators arranged the same way: entry (i, j) is
     e{j}.{i} when slot i exists on edge j."""
-    return tuple(
-        tuple(slot_name(f"e{j}", i) if j <= p.parts[i - 1] else None
-              for j in range(1, p.n + 1))
-        for i in range(1, p.m + 1))
+    return _slot_grid(p, slot_name)
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +126,14 @@ def ideal_matrices(m: int, n: int) -> list[Matrix]:
 def minimal_configurations(m: int, n: int) -> list[Matrix]:
     """Ideal matrices whose every 1 is alone in its row or in its column;
     these mark the maximal proper order ideals."""
-    out = []
-    for mat in ideal_matrices(m, n):
-        ok = True
-        for i in range(m):
-            for j in range(n):
-                if not mat[i][j]:
-                    continue
-                row = sum(mat[i])
-                col = sum(mat[k][j] for k in range(m))
-                if row > 1 and col > 1:
-                    ok = False
-        if ok:
-            out.append(mat)
-    return out
+    def lonely(mat: Matrix) -> bool:
+        rows = [sum(row) for row in mat]
+        cols = [sum(col) for col in zip(*mat)]
+        return all(rows[i] == 1 or cols[j] == 1
+                   for i, row in enumerate(mat) for j, x in enumerate(row)
+                   if x)
+
+    return [mat for mat in ideal_matrices(m, n) if lonely(mat)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +189,10 @@ def example_59_report(m: int, n: int,
     shape = monoids.grothendieck(pres)
     ltype = monoids.leavitt_type(slim, "v", budget)
 
+    # the lattice runs from the empty set to every vertex, as no group is
+    # empty; the proper nonzero ideals lie between
     ideals = monoids.order_ideals(g)
-    everything = frozenset(cons.separated_of_weighted(g).vertices)
-    proper = [e for e in ideals if e.vertices and e.vertices != everything]
+    proper = ideals[1:-1]
 
     quotient_data = None
     killed = proper[0].vertices if len(proper) == 1 else frozenset()

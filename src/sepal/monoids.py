@@ -258,19 +258,16 @@ def congruent(p: MonoidPresentation, x: Vec, y: Vec,
     frontier: tuple[list, list] = ([x], [y])
     trunc = [False, False]
 
+    def walk(v: Vec | None, parent: dict) -> list[Vec]:
+        """v and its ancestors in one side's search tree, v first."""
+        out = []
+        while v is not None:
+            out.append(v)
+            v = parent[v]
+        return out
+
     def chain(meet: Vec) -> tuple[Vec, ...]:
-        half = []
-        v = meet
-        while v is not None:
-            half.append(v)
-            v = seen[0][v]
-        left = list(reversed(half))
-        v = seen[1][meet]
-        right = []
-        while v is not None:
-            right.append(v)
-            v = seen[1][v]
-        return tuple(left + right)
+        return tuple(walk(meet, seen[0])[::-1] + walk(seen[1][meet], seen[1]))
 
     while frontier[0] or frontier[1]:
         side = 0 if frontier[0] and (
@@ -438,17 +435,15 @@ def leavitt_type(pres: MonoidPresentation, gen: str,
 @dataclass(frozen=True)
 class OrderIdealEntry:
     vertices: frozenset[str]
-    generators: tuple[str, ...]
 
 
 def order_ideals(g) -> list[OrderIdealEntry]:
-    """Order-ideal lattice read off the graph: hereditary group-saturated
-    vertex sets, labeled by their generator sets.  Weighted graphs go
+    """Order-ideal lattice read off the graph: the hereditary
+    group-saturated vertex sets, smallest first.  Weighted graphs go
     through their direct companion."""
     if isinstance(g, WeightedGraph):
         g = cons.separated_of_weighted(g)
-    return [OrderIdealEntry(h, tuple(sorted(h)))
-            for h in cons.enumerate_hsat(g)]
+    return [OrderIdealEntry(h) for h in cons.enumerate_hsat(g)]
 
 
 def order_ideal_oracle(p: MonoidPresentation) -> list[frozenset[str]]:

@@ -9,7 +9,7 @@ import pytest
 from sepal.cli import _EXIT, _build_parser, main
 from sepal.graphio import load_graph, parse_graph, print_graph
 from sepal.graphs import validate
-from test_constructions import BAD_BIP, hsat_by_scan
+from test_constructions import BAD_BIP, NAME_COLLISIONS, hsat_by_scan
 from test_graphio import MALFORMED_SEPARATIONS, malformed_separation_text
 
 
@@ -107,6 +107,52 @@ def test_garbage_budget_flag_is_a_usage_error(omega0_path):
         run("monoid", "leavitt-type", "--graph", omega0_path,
             "--generator", "v", "--budget-states", "lots")
     assert exc.value.code == 2
+
+
+def test_leavitt_type_past_its_budget_is_unknown(omega0_path):
+    # the type (1, 2) needs p + q = 3; a sum of 2 scans no pair at all
+    code, text = run("monoid", "leavitt-type", "--graph", omega0_path,
+                     "--generator", "v", "--budget-sum", "2")
+    assert code == 3
+    assert text == "no (p, q) within budget\n"
+
+
+@pytest.mark.parametrize("subset, witness", [
+    ("v", "  edge e1 leads from v to w outside the set"),
+    ("w", "  group [e1 e2 e3] at v forces it in"),
+], ids=["hereditary", "saturated"])
+def test_hsat_check_prints_its_witness(e23_path, subset, witness):
+    code, text = run("hsat", "check", "--graph", e23_path, "--set", subset)
+    assert code == 1
+    assert witness in text.splitlines()
+
+
+@pytest.mark.parametrize("kind, graphs, relations", [
+    ("phi", 94, 2111), ("phi1", 194, 4997), ("phi0", 100, 3873),
+    ("rho-tau", 100, 19857)])
+def test_verify_sweep(kind, graphs, relations):
+    code, doc = run_json("verify", kind, "--sweep")
+    assert code == 0
+    payload = doc["payload"]
+    assert (payload["graphs"], payload["relations_checked"],
+            payload["failures"]) == (graphs, relations, 0)
+    assert len(payload["entries"]) == graphs
+    assert sum(e["checked"] for e in payload["entries"]) == relations
+    code, text = run("verify", kind, "--sweep")
+    assert text == (f"{kind}: {graphs} graphs, {relations} relations "
+                    "checked, 0 failures\n")
+
+
+@pytest.mark.parametrize("verb, text, message", NAME_COLLISIONS,
+                         ids=["kept-vertex", "joined-tuples", "slot-vertex"])
+def test_construct_refuses_colliding_names(tmp_path, verb, text, message):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    code, out = run("validate", "--graph", str(path))
+    assert code == 0
+    code, out = run("construct", verb, "--graph", str(path))
+    assert code == 2
+    assert out == f"error: {message}\n"
 
 
 def test_congruent_no_is_fail(wmax22_path):

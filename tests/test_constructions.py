@@ -20,6 +20,7 @@ from sepal.graphs import (
     validate,
     vertex_weight,
 )
+from sepal.graphio import parse_graph
 from sepal.homs import phi0
 from sepal.staralg import StarAlgebra
 from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
@@ -534,6 +535,35 @@ def test_each_resolved_edge_is_named_once(monkeypatch, e23):
     gmap = phi0(tower.layers[1])
     assert calls["name_alpha"] == 156       # the rests at w, once each
     assert len(gmap.meta["resolution"].edges) == 360
+
+
+# (construct verb, graph text, the name generated twice): a generated name
+# can equal a kept vertex, two choice tuples can join to one name, and a
+# slot vertex can equal an input vertex
+NAME_COLLISIONS = [
+    ("resolve", "graph separated\nvertex u\nvertex v(e)\n"
+     "edge e = u -> v(e)\nseparation u : [e]\n",
+     "the one-step resolution would use the name 'v(e)' twice"),
+    ("resolve", "graph separated\nvertex u\nvertex x\nvertex y\n"
+     "edge a = u -> x\nedge a,b = u -> x\nedge b,c = u -> y\n"
+     "edge c = u -> y\nseparation u : [a a,b] [b,c c]\n",
+     "the one-step resolution would use the name 'v(a,b,c)' twice"),
+    ("w2sep", "graph weighted\nvertex u\nvertex v(e,1)\n"
+     "edge e = u -> v(e,1)\nweight e = 1\n",
+     "the direct companion would use the name 'v(e,1)' twice"),
+]
+
+
+@pytest.mark.parametrize("verb, text, message", NAME_COLLISIONS,
+                         ids=["kept-vertex", "joined-tuples", "slot-vertex"])
+def test_generated_names_that_collide_are_refused(verb, text, message):
+    g = parse_graph(text)
+    assert validate(g) == []
+    build = {"resolve": cons.one_step_resolution,
+             "w2sep": cons.separated_of_weighted}[verb]
+    with pytest.raises(GraphError) as exc:
+        build(g)
+    assert str(exc.value) == message
 
 
 def test_bratteli_cap(e23):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from sepal.constructions import build_emn
 from sepal.exprs import ExprError, parse_element, parse_weighted
 from sepal.staralg import StarAlgebra, basis_words, format_element, normal_form
 
@@ -53,6 +52,17 @@ def test_parse_errors(A23):
         parse_element("e1.1", A23)
     with pytest.raises(ExprError):
         parse_element("v +", A23)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0 v", "bad denominator at 2"),
+    ("e1. v", "expected an index after '.' at 4"),
+    ("v 2 w", "expected '+' or '-' at 2"),
+], ids=["denominator", "index", "sign"])
+def test_parse_error_messages(A23, text, message):
+    with pytest.raises(ExprError) as err:
+        parse_element(text, A23)
+    assert str(err.value) == message
 
 
 def test_format_zero_one_and_signs(A23):

@@ -79,6 +79,42 @@ def test_parse_errors_carry_line_numbers():
                     "separation v : [e\n")
 
 
+SEPARATED = "graph separated\nvertex v\nedge e = v -> v\n"
+WEIGHTED = "graph weighted\nvertex v\nedge e = v -> v\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("graph directed\n",
+     "line 1: graph kind must be 'separated' or 'weighted'"),
+    ("graph weighted\ngraph weighted\n", "line 2: second 'graph' directive"),
+    ("graph weighted\nvertex v w\n", "line 2: vertex takes exactly one name"),
+    (SEPARATED + "separation v [e]\n", "line 4: separation syntax is: "
+     "separation V : [E ...] [E ...]"),
+    (SEPARATED + "separation v : [e]\nseparation v : [e]\n",
+     "line 5: second separation for 'v'"),
+    (SEPARATED + "separation v : [[e]]\n", "line 4: nested '['"),
+    (SEPARATED + "separation v : ]\n", "line 4: unmatched ']'"),
+    (SEPARATED + "separation v : e\n",
+     "line 4: edge name 'e' outside brackets"),
+    (SEPARATED + "separation v :\n",
+     "line 4: separation needs at least one group"),
+    (WEIGHTED + "weight e 2\n", "line 4: weight syntax is: weight EDGE = N"),
+    (WEIGHTED + "bipartite upper: v lower:\n",
+     "line 4: bipartite line in a weighted graph"),
+    (SEPARATED + "bipartite upper: v lower:\nbipartite upper: v lower:\n",
+     "line 5: second bipartite directive"),
+    (SEPARATED + "bipartite lower: v upper: v\n", "line 4: bipartite syntax "
+     "is: bipartite upper: V ... lower: W ..."),
+], ids=["kind", "second-graph", "vertex", "separation-syntax",
+        "second-separation", "nested", "unmatched", "outside-brackets",
+        "no-group", "weight-syntax", "bipartite-weighted", "second-bipartite",
+        "bipartite-syntax"])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
 def test_zero_weight_is_semantic_not_syntactic():
     # the parser accepts it; validation rejects it
     g = parse_graph("graph weighted\nvertex v\nedge e = v -> v\nweight e = 0\n")

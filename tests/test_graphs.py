@@ -68,6 +68,17 @@ def test_separation_overlap_and_unknown_edge():
     assert any("unknown edge" in msg for msg in validate(s))
 
 
+@pytest.mark.parametrize("graph, violation", [
+    (DirectedGraph(("v", ""), ()), "empty vertex name"),
+    (SeparatedGraph.make(triangle(), {"a": [["e", "g", "f"]], "b": [["f"]]}),
+     "separation of 'a' lists edge 'f' outside s^-1(a)"),
+    (SeparatedGraph.make(triangle(), {"a": [["e", "g"]]}),
+     "separation does not cover s^-1(b): no groups given"),
+], ids=["empty-name", "outside-fiber", "no-groups"])
+def test_validate_names_the_violation(graph, violation):
+    assert validate(graph) == [violation]
+
+
 def test_trivial_separation_covers_everything():
     s = SeparatedGraph.with_trivial_separation(triangle())
     assert validate(s) == []

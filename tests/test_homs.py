@@ -1,16 +1,20 @@
 import hashlib
+import inspect
 import itertools
+import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepal import constructions as cons
+from sepal import homs
 from sepal.graphs import (
     BipartiteSeparatedGraph,
     DirectedGraph,
     GraphError,
     SeparatedGraph,
+    WeightedGraph,
     is_vertex_weighted,
 )
 from sepal.homs import (
@@ -23,6 +27,7 @@ from sepal.homs import (
     relations,
     rho_tau,
     r_name,
+    slot_name,
     t_name,
     verify,
 )
@@ -33,6 +38,7 @@ from sepal.staralg import (
     AlgElement,
     StarAlgebra,
     basis_words,
+    format_element,
     normal_form,
 )
 from sepal.sweeps import bipartite_sweep, weighted_sweep
@@ -355,6 +361,65 @@ def test_i0_generators(wmax22):
     assert "i0:offedge:e1.e2.1" in labels
     for _, el in gens:
         assert not el.is_zero
+
+
+def i0_by_products(g) -> list[tuple[str, AlgElement]]:
+    """Reference for ``ideal_generators("i0")``: the products of phi_vw
+    images, (e.i)(e.j)* for i != j and (e.i)*(f.i) for e != f out of one
+    vertex, listed by hand."""
+    gmap = phi_vw(g)
+    img = gmap.images
+    d = g.graph
+    out = []
+    for e, _, _ in d.edges:
+        for i in range(1, g.w[e] + 1):
+            for j in range(1, g.w[e] + 1):
+                if i != j:
+                    out.append((f"i0:offdiag:{e}.{i}.{j}", normal_form(
+                        img[slot_name(e, i)] * img[slot_name(e, j)].star())))
+    for v in d.vertices:
+        for e in d.out_edges.get(v, ()):
+            for f in d.out_edges.get(v, ()):
+                if e == f:
+                    continue
+                for i in range(1, min(g.w[e], g.w[f]) + 1):
+                    out.append((f"i0:offedge:{e}.{f}.{i}", normal_form(
+                        img[slot_name(e, i)].star() * img[slot_name(f, i)])))
+    return out
+
+
+def formatted(gens) -> list[tuple[str, str]]:
+    return [(label, format_element(el)) for label, el in gens]
+
+
+# edge names that hold a "." and a vertex name that looks like a slot
+DOTTED = WeightedGraph.make(DirectedGraph.make(
+    ("v.1", "w"), [("x.y", "v.1", "w"), ("z", "v.1", "v.1"),
+                   ("x", "w", "v.1")]), {"x.y": 2, "z": 2, "x": 1})
+VERTEX_WEIGHTED = [g for g in weighted_sweep(3, 3, 3)
+                   if is_vertex_weighted(g)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(VERTEX_WEIGHTED))
+@example(DOTTED)
+def test_i0_is_the_l1_relations_under_phi_vw(g):
+    assert formatted(ideal_generators("i0", g)) == formatted(
+        i0_by_products(g))
+
+
+def test_i0_reference_catches_a_map_mutant(wmax22):
+    # i0 read under phi1, which kills every generator of I_0
+    source = textwrap.dedent(inspect.getsource(homs.ideal_generators))
+    old = "gmap = phi_vw(g)"
+    assert source.count(old) == 1
+    names = dict(vars(homs))
+    exec(source.replace(old, "gmap = phi1(g)"), names)
+    mutant = names["ideal_generators"]("i0", wmax22)
+    assert [label for label, _ in mutant] == [
+        label for label, _ in i0_by_products(wmax22)]
+    assert all(el.is_zero for _, el in mutant)
+    assert formatted(mutant) != formatted(i0_by_products(wmax22))
 
 
 def test_i0_guards(e23, omega0_35):

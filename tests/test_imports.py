@@ -1,6 +1,7 @@
 """Every name a module imports is used.  No linter ships with the project,
 so this walks the syntax tree of each module in ``src/sepal/`` (the package
-``__init__``, which imports to re-export, aside) and each script."""
+``__init__``, which imports to re-export, aside), each script, each test
+and each file of the benchmark."""
 
 import ast
 import pathlib
@@ -12,6 +13,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "sepal").glob("*.py")
                  if p.name != "__init__.py")
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
+# the unused-import check also reads the tests and the whole benchmark; the
+# caller walk below keeps its own file list, so no test counts as a caller
+IMPORT_CHECKED = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "sepalbench").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,8 +41,9 @@ def test_unused_imports_are_found():
     assert unused_imports("import os.path\nos.sep\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=[p.relative_to(ROOT).as_posix() for p in MODULES])
+@pytest.mark.parametrize("path", IMPORT_CHECKED,
+                         ids=[p.relative_to(ROOT).as_posix()
+                              for p in IMPORT_CHECKED])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -1,9 +1,11 @@
-import itertools
+import inspect
+import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepal import constructions as cons
-from sepal import monoids
+from sepal import mnlab, monoids
 from sepal.graphs import GraphError
 from sepal.homs import relations, verify
 from sepal.mnlab import (
@@ -55,6 +57,60 @@ def test_partition_counts():
     assert len(partitions(2, 3)) == 3
     assert [p.parts for p in partitions(2, 2)] == [(2, 2), (2, 1)]
     assert partitions(1, 5) == [MnPartition.make(1, 5, (5,))]
+
+
+def partitions_by_recursion(m: int, n: int) -> list[MnPartition]:
+    """Reference for ``partitions``: extend each prefix by every part from
+    its last part down to 1."""
+    out: list[MnPartition] = []
+
+    def rec(acc: list[int]):
+        if len(acc) == m:
+            out.append(MnPartition(m, n, tuple(acc)))
+            return
+        for val in range(acc[-1], 0, -1):
+            rec(acc + [val])
+
+    rec([n])
+    return out
+
+
+def configurations_by_loop(m: int, n: int) -> list:
+    """Reference for ``minimal_configurations``: sum the row and the column
+    of every 1 again."""
+    out = []
+    for mat in ideal_matrices(m, n):
+        ok = True
+        for i in range(m):
+            for j in range(n):
+                if not mat[i][j]:
+                    continue
+                row = sum(mat[i])
+                col = sum(mat[k][j] for k in range(m))
+                if row > 1 and col > 1:
+                    ok = False
+        if ok:
+            out.append(mat)
+    return out
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6))
+def test_lab_lists_match_the_references(m, n):
+    assert partitions(m, n) == partitions_by_recursion(m, n)
+    if m * n <= 12:
+        assert minimal_configurations(m, n) == configurations_by_loop(m, n)
+
+
+def test_configuration_reference_catches_a_mutant():
+    # every 1 alone in its row AND its column: a row of ones drops out
+    source = textwrap.dedent(inspect.getsource(mnlab.minimal_configurations))
+    old = "rows[i] == 1 or cols[j] == 1"
+    assert source.count(old) == 1
+    names = dict(vars(mnlab))
+    exec(source.replace(old, "rows[i] == 1 and cols[j] == 1"), names)
+    assert names["minimal_configurations"](1, 2) == []
+    assert configurations_by_loop(1, 2) == [((1, 1),)]
 
 
 def test_partition_make_validation():

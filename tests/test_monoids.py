@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepal import constructions as cons
-from sepal.graphs import GraphError, vertex_weight
+from sepal.graphs import GraphError, WeightedGraph, vertex_weight
 from sepal.homs import phi1, slot_name
 from sepal.monoids import (
     Budget,
@@ -539,12 +539,25 @@ def test_order_ideals_match_oracle_on_weighted(wmax22, omega0_35):
         assert got == order_ideal_oracle(m1_of(g))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(weighted_sweep(2, 3, 2) + bipartite_sweep()))
+def test_order_ideals_run_from_nothing_to_everything(g):
+    # no group is empty, so the empty set is saturated; example 5.9 reads
+    # the proper nonzero ideals off the ends of the list
+    ideals = order_ideals(g)
+    if isinstance(g, WeightedGraph):
+        g = cons.separated_of_weighted(g)
+    assert ideals[0].vertices == frozenset()
+    assert ideals[-1].vertices == frozenset(g.vertices)
+    assert all(0 < len(e.vertices) < len(g.vertices) for e in ideals[1:-1])
+
+
 def test_omega0_ideals(omega0_35):
     entries = order_ideals(omega0_35)
     assert len(entries) == 3
     assert entries[0].vertices == frozenset()
     assert entries[1].vertices == frozenset({"v(e1,1)"})
-    assert entries[1].generators == ("v(e1,1)",)
+    assert sorted(entries[1].vertices) == ["v(e1,1)"]
 
 
 def ideals_by_box_scan(p, extra=0):
