@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from sepal.constructions import ResourceLimitError, bratteli, build_emn
-from sepal.graphio import load_graph
-from sepal.graphs import as_bipartite
+from sepal.graphio import ParseError, load_graph
+from sepal.graphs import GraphError, as_bipartite
 
 
 def main() -> int:
@@ -24,20 +24,27 @@ def main() -> int:
     ap.add_argument("--cap", type=int, default=200000,
                     help="stop before a layer would exceed this many edges")
     args = ap.parse_args()
+    if args.depth < 0:
+        ap.error("--depth must be nonnegative")
+    if args.cap < 1:
+        ap.error("--cap must be positive")
 
-    if args.graph:
-        g = as_bipartite(load_graph(args.graph))
-    else:
-        g = build_emn(args.m, args.n)
-
-    # back off one layer at a time until the tower fits, which it does at
-    # depth 0; a negative depth is tried once, for bratteli to refuse
-    for depth in range(args.depth, min(args.depth, 0) - 1, -1):
-        try:
-            tower = bratteli(g, depth, cap=args.cap)
-            break
-        except ResourceLimitError:
-            continue
+    try:
+        if args.graph:
+            g = as_bipartite(load_graph(args.graph))
+        else:
+            g = build_emn(args.m, args.n)
+        # back off one layer at a time until the tower fits, which it does
+        # at depth 0
+        for depth in range(args.depth, -1, -1):
+            try:
+                tower = bratteli(g, depth, cap=args.cap)
+                break
+            except ResourceLimitError:
+                continue
+    except (GraphError, ParseError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     capped = depth < args.depth
 
     print(f"{'layer':>5} {'upper':>7} {'lower':>9} {'edges':>10} "

@@ -27,6 +27,12 @@ The layout of a one-step resolution is a contract too, and
 
 Union k of a Bratteli tower extends union k-1 by layer k's new lower
 vertices, its edges and its groups.
+
+A vertex set is hereditary and group-saturated when it obeys the rules
+v -> r(s^-1(v)) for each vertex v and r(X) -> v for each group X at v.
+``hsat_closure`` chains them, stored once per graph as bitmasks
+(``SeparatedGraph.hsat_rules``), and ``enumerate_hsat`` walks the closed
+sets by NextClosure, at most k closures per set found on k vertices.
 """
 
 from __future__ import annotations
@@ -280,6 +286,7 @@ def bratteli(g: BipartiteSeparatedGraph, depth: int,
              cap: int = 10 ** 6) -> BratteliTower:
     """The first ``depth`` resolutions of g and their unions.  Union k
     extends union k-1 by layer k's new lower vertices, edges and groups;
+    ``GraphError`` if that would repeat a vertex name, and
     ``ResourceLimitError`` before a layer would exceed ``cap`` edges."""
     g = as_bipartite(g)
     if depth < 0:
@@ -303,7 +310,12 @@ def bratteli(g: BipartiteSeparatedGraph, depth: int,
     # interleave; later groups sit at the last vertices of the union.
     unions = [SeparatedGraph.make(DirectedGraph.make(g.vertices, g.edges),
                                   g.sep)]
+    names = set(g.upper)  # union k-1's vertices that layer k lacks
     for k, layer in enumerate(layers[1:], 1):
+        if not names.isdisjoint(layer.lower):
+            name = next(v for v in layer.lower if v in names)
+            raise GraphError(f"union {k} would repeat vertex name {name!r}")
+        names.update(layer.upper)
         prev = unions[-1]
         if k == 1:
             groups = {**prev.sep, **layer.sep}
@@ -358,55 +370,49 @@ def is_hsat(g, subset: Iterable[str]) -> HSatReport:
 
 
 def hsat_closure(g, subset: Iterable[str]) -> frozenset[str]:
-    """Least hereditary group-saturated superset: alternate forward closure
-    along edges with the saturation rule until nothing changes."""
+    """Least hereditary group-saturated superset: the graph's rules,
+    chained forward until none adds a vertex."""
     s = as_separated(g)
     h = set(subset)
     unknown = h - s.graph.vertex_set
     if unknown:
         raise GraphError("unknown vertices: " + ", ".join(sorted(unknown)))
-    changed = True
-    while changed:
-        changed = False
-        for e, src, rng in s.graph.edges:
-            if src in h and rng not in h:
-                h.add(rng)
-                changed = True
-        for v, groups in s.separation:
-            if v in h:
-                continue
-            if any(all(s.graph.rng(x) in h for x in grp) for grp in groups):
-                h.add(v)
-                changed = True
-    return frozenset(h)
-
-
-def _hsat_key(h: frozenset[str]):
-    return (len(h), tuple(sorted(h)))
+    bit, rules = s.hsat_rules
+    closed = sum(bit[v] for v in h)
+    grown = True
+    while grown:
+        grown = False
+        for premise, conclusion in rules:
+            if closed & premise == premise and closed | conclusion != closed:
+                closed |= conclusion
+                grown = True
+    return frozenset(v for v in s.vertices if closed & bit[v])
 
 
 def enumerate_hsat(g) -> list[frozenset[str]]:
     """All hereditary group-saturated vertex sets, smallest first.
 
-    Every such set is reached from the closure of the empty set by a chain
-    of closures that each add one vertex, so the search closes every set
-    found with each vertex outside it until nothing new appears.  The
-    tests compare it with a scan over all vertex subsets.
+    They are the sets that ``hsat_closure`` fixes, so Ganter's NextClosure
+    lists them in lectic order (B. Ganter, "Two basic algorithms in concept
+    analysis", 1984): after H comes the closure of (H below v) + v for the
+    last vertex v outside H whose closure adds nothing below v, found with
+    at most k closures.  The tests compare it with a scan over all subsets.
     """
     s = as_separated(g)
-    bottom = hsat_closure(s, ())
-    seen = {bottom}
-    queue = [bottom]
-    while queue:
-        h = queue.pop()
-        for v in s.graph.vertices:
-            if v in h:
+    vs = s.vertices
+    below = [frozenset(vs[:i]) for i in range(len(vs))]
+    found = [hsat_closure(s, ())]
+    while len(found[-1]) < len(vs):
+        closed = found[-1]
+        for i in reversed(range(len(vs))):
+            if vs[i] in closed:
                 continue
-            bigger = hsat_closure(s, h | {v})
-            if bigger not in seen:
-                seen.add(bigger)
-                queue.append(bigger)
-    return sorted(seen, key=_hsat_key)
+            low = closed & below[i]
+            nxt = hsat_closure(s, low | {vs[i]})
+            if nxt & below[i] == low:
+                break
+        found.append(nxt)
+    return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 
 def quotient_graph(g, subset: Iterable[str]):

@@ -240,6 +240,19 @@ class SeparatedGraph:
                     table[e] = g
         return table
 
+    @cached_property
+    def hsat_rules(self) -> tuple[dict[str, int], tuple[tuple[int, int], ...]]:
+        """Vertex -> bit, and the (premise, conclusion) bitmasks of the
+        closure rules in ``constructions``, for a valid graph."""
+        bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        rng = self.graph.rng
+        # each sum runs over a set of distinct bits, so it is their OR
+        rules = [(bit[v], sum({bit[rng(e)] for e in es}))
+                 for v, es in self.graph.out_edges.items() if es]
+        rules += [(sum({bit[rng(e)] for e in grp}), bit[v])
+                  for v, groups in self.separation for grp in groups]
+        return bit, tuple(rules)
+
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.graph.vertices

@@ -80,6 +80,10 @@ def test_traced_run_sees_the_monoid_path():
                  "mnlab.example_59_report.calls", "graphs.validate.calls",
                  "constructions.enumerate_hsat.found_per_scan"):
         assert metrics[name]["value"] > 0, name
+    # NextClosure runs at most k closures per order ideal found, each one
+    # through the public hsat_closure; closing every ideal found with each
+    # outside vertex read 0.176 here
+    assert metrics["constructions.enumerate_hsat.found_per_scan"]["value"] > 0.25
     # the scan tries only multiples of ord([a]) and skips infinite order
     scanned = metrics["monoids.leavitt_type.scanned"]["value"]
     assert scanned / metrics["monoids.leavitt_type.calls"]["value"] < 20

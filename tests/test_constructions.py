@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 import math
+import operator
 import random
 import textwrap
 from collections import Counter
@@ -37,6 +38,47 @@ def hsat_by_scan(g) -> list[frozenset[str]]:
         if rep.hereditary and rep.saturated:
             found.append(h)
     return sorted(found, key=lambda h: (len(h), sorted(h)))
+
+
+def hsat_closure_by_rescan(g, subset) -> frozenset[str]:
+    """Reference for ``hsat_closure``: alternate a pass along every edge
+    with a pass of the saturation rule over every group until nothing
+    changes."""
+    s = as_separated(g)
+    h = set(subset)
+    changed = True
+    while changed:
+        changed = False
+        for e, src, rng in s.graph.edges:
+            if src in h and rng not in h:
+                h.add(rng)
+                changed = True
+        for v, groups in s.separation:
+            if v in h:
+                continue
+            if any(all(s.graph.rng(x) in h for x in grp) for grp in groups):
+                h.add(v)
+                changed = True
+    return frozenset(h)
+
+
+def hsat_by_search(g) -> list[frozenset[str]]:
+    """Reference for ``enumerate_hsat``: every such set is reached from the
+    closure of the empty set by closures that each add one vertex, so
+    close every set found with each vertex outside it, with a seen-set."""
+    s = as_separated(g)
+    bottom = hsat_closure_by_rescan(s, ())
+    seen = {bottom}
+    queue = [bottom]
+    while queue:
+        h = queue.pop()
+        for v in s.graph.vertices:
+            if v not in h:
+                bigger = hsat_closure_by_rescan(s, h | {v})
+                if bigger not in seen:
+                    seen.add(bigger)
+                    queue.append(bigger)
+    return sorted(seen, key=lambda h: (len(h), sorted(h)))
 
 
 # Theorem 3.10: the direct companion (E(w)_1, C(w)^1) of a weighted graph is
@@ -314,6 +356,68 @@ def test_enumerate_matches_scan_on_companions(g):
     assert cons.enumerate_hsat(companion) == hsat_by_scan(companion)
 
 
+def hsat_rules_with(g: SeparatedGraph, add_ranges=False, saturate=True):
+    """``SeparatedGraph.hsat_rules`` built again, with switches for the
+    mutant test: a group's range bits added instead of OR-ed, and one-way
+    rules that only follow the edges down."""
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    rng = g.graph.rng
+
+    def ored(es):
+        return functools.reduce(operator.or_, (bit[rng(e)] for e in es))
+
+    def added(es):
+        return sum(bit[rng(e)] for e in es)
+
+    rules = [(bit[v], ored(es)) for v, es in g.graph.out_edges.items() if es]
+    if saturate:
+        join = added if add_ranges else ored
+        rules += [(join(grp), bit[v])
+                  for v, groups in g.separation for grp in groups]
+    return bit, tuple(rules)
+
+
+def engine_matches_references(g, subsets) -> bool:
+    """``enumerate_hsat`` equals ``hsat_by_search``, and ``hsat_closure``
+    equals ``hsat_closure_by_rescan`` on each subset."""
+    return cons.enumerate_hsat(g) == hsat_by_search(g) and all(
+        cons.hsat_closure(g, h) == hsat_closure_by_rescan(g, h)
+        for h in subsets)
+
+
+# bipartite_sweep() has groups with two edges into one vertex, where adding
+# range bits instead of OR-ing them goes wrong; no companion of
+# weighted_sweep(3, 4, 3) has one
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.sampled_from(bipartite_sweep()),
+    st.integers(5, 15).flatmap(lambda size: st.sampled_from(
+        _by_companion_size()[size])).map(cons.separated_of_weighted)),
+    st.data())
+def test_engine_matches_the_rescanning_references(g, data):
+    s = as_separated(g)
+    subsets = data.draw(st.lists(st.frozensets(st.sampled_from(s.vertices)),
+                                 max_size=4))
+    assert s.hsat_rules == hsat_rules_with(s)
+    assert engine_matches_references(g, subsets)
+
+
+@pytest.mark.parametrize("switch", [{"add_ranges": True}, {"saturate": False}],
+                         ids=["ranges-added", "one-way-rules"])
+def test_references_catch_engine_mutants(monkeypatch, switch):
+    monkeypatch.setattr(SeparatedGraph, "hsat_rules", property(
+        lambda g: hsat_rules_with(g, **switch)))
+    wrong = [g for g in bipartite_sweep()
+             if not engine_matches_references(g, [{v} for v in g.vertices])]
+    assert wrong
+    if "add_ranges" in switch:
+        # the mutant goes wrong only where a group has two edges into one
+        # vertex
+        assert all(any(len({g.graph.rng(e) for e in grp}) < len(grp)
+                       for _, groups in g.separation for grp in groups)
+                   for g in wrong)
+
+
 def test_hsat_family_is_a_lattice():
     for g in bipartite_sweep()[:8]:
         sets = cons.enumerate_hsat(g)
@@ -571,6 +675,19 @@ def test_bratteli_cap(e23):
         cons.bratteli(e23, depth=6, cap=100)
     with pytest.raises(GraphError):
         cons.bratteli(e23, depth=-1)
+
+
+def test_a_union_that_would_repeat_a_vertex_is_refused():
+    # every layer is valid, but layer 2's new lower vertex v(a^e(f)) is
+    # also a vertex of the base, so union 2 would list it twice
+    g = parse_graph("graph separated\nvertex u\nvertex w\nvertex v(a^e(f))\n"
+                    "edge e = u -> w\nedge f = u -> v(a^e(f))\n"
+                    "separation u : [e] [f]\n")
+    assert validate(cons.one_step_resolution(cons.one_step_resolution(g))) == []
+    assert validate(cons.bratteli(g, 1).unions[1]) == []
+    with pytest.raises(GraphError) as exc:
+        cons.bratteli(g, 2)
+    assert str(exc.value) == "union 2 would repeat vertex name 'v(a^e(f))'"
 
 
 # --- sweeps ------------------------------------------------------------------

@@ -34,3 +34,23 @@ def test_script_runs(name, args, line):
     done = run_script(name, *args)
     assert done.returncode == 0, done.stderr
     assert line in done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--depth", "-1"), "bratteli_growth.py: error: --depth must be nonnegative"),
+    (("--cap", "-5"), "bratteli_growth.py: error: --cap must be positive"),
+    (("--m", "3", "--n", "2"), "error: need 1 <= m <= n, got m=3, n=2"),
+    (("--graph", "BAD"), "error: not bipartite: edge 'e' has unknown range "
+     "'zz'; separation does not cover s^-1(u): no groups given"),
+], ids=["negative-depth", "negative-cap", "m-above-n", "invalid-graph"])
+def test_bratteli_growth_refuses_bad_input(tmp_path, args, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("graph separated\nvertex u\nedge e = u -> zz\n")
+    done = run_script("bratteli_growth.py",
+                      *(str(bad) if a == "BAD" else a for a in args))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert lines[-1] == message
+    # argparse prints its usage first; a GraphError is one line
+    assert len(lines) == 1 or lines[0].startswith("usage:")
