@@ -12,7 +12,28 @@ helpers, so two runs over equal inputs produce identical graphs; downstream
 comparisons rely on this, and so does the check in the tests that the
 quotient of the resolved completion is the direct companion (Theorem 3.10).
 The resolution and the direct companion raise ``GraphError`` rather than
-use one name twice in the graph they build.
+use one name twice in the graph they build, and so do the unions of a
+tower.
+
+Five builders return born-valid graphs (see ``graphs``): their outputs
+skip the constructors' checks and the validators, so each builder's own
+argument is what makes its output valid.  ``build_emn`` and
+``quotient_graph`` build with the public constructors.
+
+* ``weighted_completion`` keeps the checked graph and gives each edge the
+  weight of its source, a positive integer.
+* ``separated_of_vertex_weighted`` ends each kind of name in its own
+  character (``_0``, ``_1``, ``~``, ``)``), and each kind reads back the
+  input name it came from, so no name repeats; each regular vertex's
+  fiber is its tilde group and its h group, neither empty.
+* ``separated_of_weighted`` and ``one_step_resolution`` have distinct
+  names because ``_refuse_repeats`` checks them, and groups that cover
+  each fiber by construction: the slot and edge groups at a vertex are
+  its out-edges, and the groups at a resolved vertex w are the ones the
+  edges into w spawn, none empty since no input group is.
+* Union k >= 1 of a tower is union k-1 with the valid layer k, whose new
+  lower vertices and edges ``bratteli`` finds disjoint from the names of
+  union k-1.  Union 0 is rebuilt with the public constructors.
 
 The layout of a one-step resolution is a contract too, and
 ``one_step_resolution`` alone makes it:
@@ -47,6 +68,7 @@ from .graphs import (
     GraphError,
     SeparatedGraph,
     WeightedGraph,
+    _born_valid,
     as_bipartite,
     as_separated,
     as_weighted,
@@ -140,8 +162,8 @@ def build_emn(m: int, n: int) -> BipartiteSeparatedGraph:
 def weighted_completion(g: WeightedGraph) -> WeightedGraph:
     """Raise every edge weight to the weight of its source vertex."""
     g = as_weighted(g)
-    return WeightedGraph.make(
-        g.graph, {e: vertex_weight(g, s) for e, s, _ in g.graph.edges})
+    return _born_valid(WeightedGraph, g.graph, tuple(
+        (e, vertex_weight(g, s)) for e, s, _ in g.graph.edges))
 
 
 def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
@@ -161,17 +183,19 @@ def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
     upper = tuple(name_upper_copy(v) for v in regular)
     lower = tuple(name_lower_copy(v) for v in d.vertices)
     edges: list[tuple[str, str, str]] = []
-    sep: dict[str, list[list[str]]] = {}
+    sep = []
     for v in regular:
         tildes = [name_tilde(e) for e in d.out_edges[v]]
         hs = [name_h(v, i) for i in range(1, vertex_weight(g, v) + 1)]
         edges += [(name_tilde(e), name_upper_copy(v), name_lower_copy(d.rng(e)))
                   for e in d.out_edges[v]]
         edges += [(h, name_upper_copy(v), name_lower_copy(v)) for h in hs]
-        sep[name_upper_copy(v)] = [tildes, hs]
-    graph = DirectedGraph.make(upper + lower, edges)
-    return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
-                                        upper=upper, lower=lower)
+        sep.append((name_upper_copy(v), (tuple(sorted(tildes)),
+                                         tuple(sorted(hs)))))
+    graph = _born_valid(DirectedGraph, upper + lower, tuple(edges))
+    return _born_valid(BipartiteSeparatedGraph,
+                       _born_valid(SeparatedGraph, graph, tuple(sep)),
+                       upper, lower)
 
 
 def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
@@ -228,9 +252,9 @@ def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
     lower = tuple(new_lower)
     sep = tuple((w, tuple(tuple(sorted(spawned[x])) for x in d.in_edges[w]))
                 for w in g.lower)
-    graph = DirectedGraph(g.lower + lower, tuple(edges))
-    return BipartiteSeparatedGraph(SeparatedGraph(graph, sep),
-                                   upper=g.lower, lower=lower)
+    graph = _born_valid(DirectedGraph, g.lower + lower, tuple(edges))
+    return _born_valid(BipartiteSeparatedGraph,
+                       _born_valid(SeparatedGraph, graph, sep), g.lower, lower)
 
 
 def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
@@ -247,27 +271,28 @@ def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
     lower = tuple(name_slot_vertex(e, i)
                   for e, _, _ in d.edges for i in range(1, g.w[e] + 1))
     edges: list[tuple[str, str, str]] = []
-    sep: dict[str, list[list[str]]] = {}
+    sep = []
     for v in d.vertices:
-        groups: list[list[str]] = []
+        groups: list[tuple[str, ...]] = []
         for i in range(1, vertex_weight(g, v) + 1):
             grp = [name_slot_edge(i, e) for e in d.out_edges[v] if g.w[e] >= i]
             edges += [(name_slot_edge(i, e), v, name_slot_vertex(e, i))
                       for e in d.out_edges[v] if g.w[e] >= i]
-            groups.append(grp)
+            groups.append(tuple(sorted(grp)))
         for e in d.in_edges.get(v, ()):
             grp = [name_edge_slot(e, i) for i in range(1, g.w[e] + 1)]
             edges += [(name_edge_slot(e, i), v, name_slot_vertex(e, i))
                       for i in range(1, g.w[e] + 1)]
-            groups.append(grp)
+            groups.append(tuple(sorted(grp)))
         if groups:
-            sep[v] = groups
+            sep.append((v, tuple(groups)))
     # the generated names cannot repeat one another, only an input vertex
     _refuse_repeats([*d.vertices, *lower, *(e for e, _, _ in edges)],
                     "the direct companion")
-    graph = DirectedGraph.make(d.vertices + lower, edges)
-    return BipartiteSeparatedGraph.make(SeparatedGraph.make(graph, sep),
-                                        upper=d.vertices, lower=lower)
+    graph = _born_valid(DirectedGraph, d.vertices + lower, tuple(edges))
+    return _born_valid(BipartiteSeparatedGraph,
+                       _born_valid(SeparatedGraph, graph, tuple(sep)),
+                       d.vertices, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +311,7 @@ def bratteli(g: BipartiteSeparatedGraph, depth: int,
              cap: int = 10 ** 6) -> BratteliTower:
     """The first ``depth`` resolutions of g and their unions.  Union k
     extends union k-1 by layer k's new lower vertices, edges and groups;
-    ``GraphError`` if that would repeat a vertex name, and
+    ``GraphError`` if that would repeat a name of union k-1, and
     ``ResourceLimitError`` before a layer would exceed ``cap`` edges."""
     g = as_bipartite(g)
     if depth < 0:
@@ -310,11 +335,14 @@ def bratteli(g: BipartiteSeparatedGraph, depth: int,
     # interleave; later groups sit at the last vertices of the union.
     unions = [SeparatedGraph.make(DirectedGraph.make(g.vertices, g.edges),
                                   g.sep)]
-    names = set(g.upper)  # union k-1's vertices that layer k lacks
+    names = set(g.upper)  # the names of union k-1 that layer k lacks
     for k, layer in enumerate(layers[1:], 1):
-        if not names.isdisjoint(layer.lower):
-            name = next(v for v in layer.lower if v in names)
-            raise GraphError(f"union {k} would repeat vertex name {name!r}")
+        names.update(layers[k - 1].graph.edge_names)
+        for kind, new in (("vertex", layer.lower),
+                          ("edge", layer.graph.edge_names)):
+            if not names.isdisjoint(new):
+                name = next(x for x in new if x in names)
+                raise GraphError(f"union {k} would repeat {kind} name {name!r}")
         names.update(layer.upper)
         prev = unions[-1]
         if k == 1:
@@ -322,9 +350,9 @@ def bratteli(g: BipartiteSeparatedGraph, depth: int,
             sep = tuple((v, groups[v]) for v in g.vertices if v in groups)
         else:
             sep = prev.separation + layer.separation
-        unions.append(SeparatedGraph(
-            DirectedGraph(prev.vertices + layer.lower,
-                          prev.edges + layer.edges), sep))
+        graph = _born_valid(DirectedGraph, prev.vertices + layer.lower,
+                            prev.edges + layer.edges)
+        unions.append(_born_valid(SeparatedGraph, graph, sep))
     return BratteliTower(tuple(layers), tuple(unions))
 
 

@@ -31,9 +31,7 @@ kind the caller needs, after one ``require_valid``, and raises
 
 So a graph of the wrong kind is a ``GraphError``, never an
 ``AttributeError`` from deep inside a construction.  Outside this module a
-kind is tested only to choose between two accepted kinds.  Functions that
-build graphs from a checked input do not re-check their outputs; the tests
-assert that those outputs are valid.
+kind is tested only to choose between two accepted kinds.
 
 Each graph object is validated once.  Its fields are tuples of names and
 weights, so its report is a pure function of the value; the report is
@@ -41,6 +39,22 @@ stored on the graph as a tuple, like ``vertex_set`` or ``out_edges``, and
 repeat checks of the same object (``enumerate_hsat`` runs one per closure
 step) only copy it.  A separated, bipartite or weighted graph builds its
 report on the stored report of the graph inside it.
+
+A graph that ``constructions`` builds from a graph that passed its gate is
+born valid: ``_born_valid`` sets its fields and stores the empty report,
+so neither the constructor's checks nor the validators run on it, and a
+gate only reads that report.  The builders that do this, each with its
+argument (``constructions`` states them in full; the tests rebuild every
+such output through the public constructors and validate it afresh):
+
+* ``weighted_completion``: the checked graph with positive weights;
+* ``separated_of_vertex_weighted``: each kind of name ends in its own
+  character, and reads back the input name it came from;
+* ``separated_of_weighted`` and ``one_step_resolution``:
+  ``_refuse_repeats`` checks the names, and the groups cover each fiber
+  by construction;
+* ``bratteli``'s unions 1 and up: a valid union and a valid layer, whose
+  new names it tests for disjointness from the union's.
 """
 
 from __future__ import annotations
@@ -381,6 +395,16 @@ class WeightedGraph:
 AnyGraph = Union[DirectedGraph, SeparatedGraph, BipartiteSeparatedGraph, WeightedGraph]
 # a tuple for isinstance, which tests it several times faster than the Union
 _GRAPH_TYPES = get_args(AnyGraph)
+
+
+def _born_valid(kind: type, *fields):
+    """A graph of ``kind`` with ``fields`` in field order, stored with the
+    empty report.  Only for the builders the module docstring lists: each
+    shows that its output is valid, so the constructor's checks and the
+    validators would find nothing."""
+    g = object.__new__(kind)
+    vars(g).update(zip(kind.__match_args__, fields), _report=())
+    return g
 
 
 # ---------------------------------------------------------------------------

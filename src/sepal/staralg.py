@@ -13,7 +13,10 @@ Every question about where a word starts and ends reads one table,
 ``StarAlgebra.ends``, which maps each letter to its (source, range): a
 vertex letter to (v, v), a direct letter e to (s(e), r(e)) and a ghost
 letter e* to (r(e), s(e)).  ``element`` accepts only words whose letters
-meet.
+meet.  Another, ``StarAlgebra.star_of``, maps each letter to its star:
+a direct letter e to the ghost e* and back, and a vertex letter to
+itself.  ``AlgElement.star`` reverses each word through it, so a starred
+word holds the letters the algebra made once, and makes no new ones.
 
 One table, ``StarAlgebra.rules``, holds the rewrite rules.  It maps the
 letter pair of a redex to the vertex word left when a splice is empty and
@@ -78,6 +81,10 @@ class StarAlgebra:
             w[0]: (v, v) for v, w in word.items()}
         self.ends.update((direct[e], (s, r)) for e, s, r in d.edges)
         self.ends.update((ghost[e], (r, s)) for e, s, r in d.edges)
+        self.star_of: dict[Letter, Letter] = {
+            w[0]: w[0] for w in word.values()}
+        self.star_of.update((direct[e], ghost[e]) for e in d.edge_names)
+        self.star_of.update((ghost[e], direct[e]) for e in d.edge_names)
         self.vertex_names = d.vertex_set
         self.group_of = sep.group_of
         self.chosen: dict[str, list[str]] = {
@@ -236,10 +243,9 @@ class AlgElement:
         return AlgElement(alg, out)
 
     def star(self) -> "AlgElement":
-        out = {}
-        for w, c in self.terms.items():
-            out[_word_star(w)] = c
-        return AlgElement(self.alg, out)
+        flip = self.alg.star_of.__getitem__
+        return AlgElement(self.alg, {tuple(map(flip, reversed(w))): c
+                                     for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgElement)
@@ -250,12 +256,6 @@ class AlgElement:
 
     def __repr__(self) -> str:
         return f"<{format_element(self)}>"
-
-
-def _word_star(w: Word) -> Word:
-    if w[0][1] == VERTEX:
-        return w
-    return tuple((n, DIRECT if k == GHOST else GHOST) for n, k in reversed(w))
 
 
 def format_element(elem: AlgElement) -> str:

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import operator
+import pathlib
 import random
 import textwrap
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sepal import constructions as cons
+from sepal import graphs
 from sepal.graphs import (
     BipartiteSeparatedGraph,
     DirectedGraph,
@@ -21,7 +23,7 @@ from sepal.graphs import (
     validate,
     vertex_weight,
 )
-from sepal.graphio import parse_graph
+from sepal.graphio import load_graph, parse_graph
 from sepal.homs import phi0
 from sepal.staralg import StarAlgebra
 from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
@@ -589,14 +591,14 @@ def test_resolution_matches_the_tuple_loop_on_e23_layer_3(e23):
     assert len(layers[3].edges) == 10368
 
 
-def resolution_mutant(old: str, new: str):
-    """``one_step_resolution`` with ``old`` replaced by ``new`` in its
-    source, run over the module's own names."""
-    source = textwrap.dedent(inspect.getsource(cons.one_step_resolution))
+def mutant(fn, old: str, new: str):
+    """The ``constructions`` function ``fn`` with ``old`` replaced by
+    ``new`` in its source, run over the module's own names."""
+    source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(old) == 1, old
     names = dict(vars(cons))
     exec(source.replace(old, new), names)
-    return names["one_step_resolution"]
+    return names[fn.__name__]
 
 
 RESOLUTION_MUTANTS = {
@@ -612,7 +614,8 @@ RESOLUTION_MUTANTS = {
                          ids=RESOLUTION_MUTANTS.keys())
 def test_tuple_loop_catches_resolution_mutants(e23, old, new):
     assert resolves_by_tuples(e23, 2)
-    assert not resolves_by_tuples(e23, 2, resolution_mutant(old, new))
+    assert not resolves_by_tuples(
+        e23, 2, mutant(cons.one_step_resolution, old, new))
 
 
 def test_each_resolved_edge_is_named_once(monkeypatch, e23):
@@ -690,6 +693,38 @@ def test_a_union_that_would_repeat_a_vertex_is_refused():
     assert str(exc.value) == "union 2 would repeat vertex name 'v(a^e(f))'"
 
 
+# Graphs whose every layer is valid, but where a new name of layer 2 is
+# already a name of union 1.  Over BASE_E alone, layer 2 holds the vertex
+# v(a^e(f)) and the edge a^a^e(f)(); each graph adds an upper vertex y
+# whose edge, or its edge's range, takes one of those names (ids: the kind
+# of the new name, then of the old one)
+BASE_E = ("graph separated\nvertex u\nvertex w\nvertex x\nvertex y\n"
+          "edge e = u -> w\nedge f = u -> x\nseparation u : [e] [f]\n")
+REPEATED_EDGE = parse_graph(BASE_E + "edge a^a^e(f)() = y -> x\n"
+                            "separation y : [a^a^e(f)()]\n")
+UNION_COLLISIONS = [
+    (REPEATED_EDGE, "union 2 would repeat edge name 'a^a^e(f)()'"),
+    (parse_graph(BASE_E + "edge v(a^e(f)) = y -> x\n"
+                 "separation y : [v(a^e(f))]\n"),
+     "union 2 would repeat vertex name 'v(a^e(f))'"),
+    (parse_graph(BASE_E + "vertex a^a^e(f)()\nedge h = y -> a^a^e(f)()\n"
+                 "separation y : [h]\n"),
+     "union 2 would repeat edge name 'a^a^e(f)()'"),
+]
+
+
+@pytest.mark.parametrize("g, message", UNION_COLLISIONS,
+                         ids=["edge-edge", "vertex-edge", "edge-vertex"])
+def test_a_union_that_would_repeat_a_name_is_refused(g, message):
+    layers = [g]
+    for _ in range(2):
+        layers.append(cons.one_step_resolution(layers[-1]))
+    assert [fresh_report(layer) for layer in layers] == [[], [], []]
+    with pytest.raises(GraphError) as exc:
+        cons.bratteli(g, 2)
+    assert str(exc.value) == message
+
+
 # --- sweeps ------------------------------------------------------------------
 
 def test_sweeps_are_nonempty_and_valid():
@@ -704,7 +739,93 @@ def test_sweeps_are_nonempty_and_valid():
 
 
 # --- constructors build valid graphs ---------------------------------------------
-# The constructors do not validate what they build; these properties do.
+# The constructors do not validate what they build, and most store an empty
+# report on it (the ``graphs`` docstring lists them), so ``validate`` would
+# only read that report back; these properties check afresh.
+
+
+def rebuilt(g):
+    """``g`` rebuilt through the public ``make`` constructors, which keep
+    every check."""
+    if isinstance(g, BipartiteSeparatedGraph):
+        return BipartiteSeparatedGraph.make(rebuilt(g.base), g.upper, g.lower)
+    if isinstance(g, SeparatedGraph):
+        return SeparatedGraph.make(rebuilt(g.graph), g.sep)
+    if isinstance(g, WeightedGraph):
+        return WeightedGraph.make(rebuilt(g.graph), g.w)
+    return DirectedGraph.make(g.vertices, g.edges)
+
+
+def fresh_report(g) -> list[str]:
+    """The checks of every level of g, run afresh.  Each private validator
+    starts from the report stored on the graph inside, so that graph is
+    checked on its own as well; the list is empty exactly when g is
+    valid."""
+    if isinstance(g, BipartiteSeparatedGraph):
+        return graphs._validate_bipartite(g) + fresh_report(g.base)
+    if isinstance(g, SeparatedGraph):
+        return graphs._validate_separated(g) + fresh_report(g.graph)
+    if isinstance(g, WeightedGraph):
+        return graphs._validate_weighted(g) + fresh_report(g.graph)
+    return graphs._validate_directed(g)
+
+
+def unearned(built) -> list:
+    """The graphs of ``built`` that differ from their rebuild or that the
+    validators, run afresh, find fault with."""
+    return [g for g in built if rebuilt(g) != g or fresh_report(g)]
+
+
+def born_valid_outputs(g) -> list:
+    """What the library builds born valid from g: a weighted graph's
+    completion and its two companions; a bipartite graph's tower layers
+    and unions 1 and 2 (every phi0 target is such a layer)."""
+    if isinstance(g, WeightedGraph):
+        full = cons.weighted_completion(g)
+        return [full, cons.separated_of_vertex_weighted(full),
+                cons.separated_of_weighted(g)]
+    tower = cons.bratteli(g, 2)
+    return [*tower.layers[1:], *tower.unions[1:]]
+
+
+# the E(m, n) of the benchmark's resolve-wide cases, and the fixtures
+RESOLVE_EMN = ((1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3))
+FIXTURE_FILES = sorted((pathlib.Path(__file__).resolve().parent.parent
+                        / "fixtures").glob("*.txt"))
+
+
+@pytest.mark.parametrize(
+    "g", [cons.build_emn(m, n) for m, n in RESOLVE_EMN]
+    + [load_graph(str(p)) for p in FIXTURE_FILES],
+    ids=[f"E({m},{n})" for m, n in RESOLVE_EMN]
+    + [p.stem for p in FIXTURE_FILES])
+def test_born_valid_outputs_earn_their_report(g):
+    assert unearned(born_valid_outputs(g)) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(bipartite_sweep() + weighted_sweep(3, 3, 3)))
+def test_born_valid_outputs_earn_their_report_on_the_sweeps(g):
+    assert unearned(born_valid_outputs(g)) == []
+
+
+def test_born_valid_check_catches_a_resolution_that_drops_edges(e23):
+    # each group of the layer loses one spawned edge, so it no longer
+    # covers its fiber
+    drop = mutant(cons.one_step_resolution, "tuple(sorted(spawned[x]))",
+                  "tuple(sorted(spawned[x])[1:])")
+    assert unearned([cons.one_step_resolution(e23)]) == []
+    bad = drop(e23)
+    assert unearned([bad]) == [bad]
+
+
+def test_born_valid_check_catches_a_union_without_the_name_check():
+    unchecked = mutant(cons.bratteli, "if not names.isdisjoint(new):",
+                       "if False:")
+    tower = unchecked(REPEATED_EDGE, 2)
+    assert unearned(tower.layers) == []
+    assert unearned(tower.unions) == [tower.unions[2]]
+    assert "duplicate edge name 'a^a^e(f)()'" in fresh_report(tower.unions[2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -719,7 +840,7 @@ def test_constructor_outputs_are_valid(g):
     for bip in (double, companion):
         built += [cons.quotient_graph(bip, h) for h in cons.enumerate_hsat(bip)]
     for out in built:
-        assert validate(out) == [], out
+        assert fresh_report(out) == [], out
 
 
 @pytest.mark.parametrize("g", emn_sweep(),
@@ -728,7 +849,7 @@ def test_constructor_outputs_are_valid(g):
 def test_bratteli_outputs_are_valid(g):
     tower = cons.bratteli(g, 2)
     for out in tower.layers + tower.unions:
-        assert validate(out) == [], out
+        assert fresh_report(out) == [], out
 
 
 # --- invalid input is refused with the full report ------------------------------

@@ -273,8 +273,15 @@ def test_enumerate_hsat_validates_its_graph_once(monkeypatch):
                            [("e", "u", "v"), ("f", "v", "u"), ("g", "u", "u")])
     b = separated_of_weighted(WeightedGraph.make(d, {"e": 2, "f": 1, "g": 2}))
     assert len(b.vertices) >= 6
+    # the companion is born valid: no validation at all
     assert len(enumerate_hsat(b)) > 2
-    assert checked == [b.base]
+    assert checked == []
+    # the same graph built by hand is validated once, at the first gate
+    by_hand = SeparatedGraph.make(
+        DirectedGraph.make(b.vertices, b.edges), b.sep)
+    assert by_hand == b.base
+    assert enumerate_hsat(by_hand) == enumerate_hsat(b)
+    assert checked == [by_hand]
 
 
 def test_as_bipartite_keeps_the_report_it_computes(monkeypatch):

@@ -3,6 +3,7 @@ they use breaks a test instead of the script alone."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -54,3 +55,25 @@ def test_bratteli_growth_refuses_bad_input(tmp_path, args, message):
     assert lines[-1] == message
     # argparse prints its usage first; a GraphError is one line
     assert len(lines) == 1 or lines[0].startswith("usage:")
+
+
+def test_gc_census_counts_collections_and_times_jobs():
+    done = run_script("gc_census.py", "--workload", "resolve-wide",
+                      "--jobs", "9", "--seed", "1")
+    assert done.returncode == 0, done.stderr
+    head, collections, times = done.stdout.splitlines()
+    assert head == "workload: resolve-wide, seed 1, 9 jobs, 0 failed"
+    counts = re.fullmatch(r"collections: gen0 \d+, gen1 \d+, gen2 (\d+) "
+                          r"\((\d+\.\d) gen2 per 1,000 jobs\)", collections)
+    assert counts and float(counts[2]) == round(1000 * int(counts[1]) / 9, 1)
+    assert re.fullmatch(r"job ms: p50 \d+\.\d\d, p99 \d+\.\d\d", times)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--workload", "nope"), "argument --workload: invalid choice: 'nope'"),
+    (("--workload", "verify-small", "--jobs", "0"), "--jobs must be positive"),
+], ids=["unknown-workload", "no-jobs"])
+def test_gc_census_refuses_bad_input(args, message):
+    done = run_script("gc_census.py", *args)
+    assert done.returncode == 2
+    assert message in done.stderr.splitlines()[-1]

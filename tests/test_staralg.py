@@ -326,6 +326,44 @@ def carriers(depths):
                   st.sampled_from(depths)))
 
 
+def word_star(w):
+    """Reference for ``AlgElement.star``, letter by letter: a vertex word
+    is its own star; otherwise reverse the word and swap each letter's
+    kind."""
+    if w[0][1] == VERTEX:
+        return w
+    return tuple((n, DIRECT if k == GHOST else GHOST) for n, k in reversed(w))
+
+
+def star_matches_reference(x, star=AlgElement.star) -> bool:
+    """Whether ``star`` takes x to the reference's star of each word, and
+    back to x, with letters from the algebra's table."""
+    y = star(x)
+    table = x.alg.star_of
+    return (y.terms == {word_star(w): c for w, c in x.terms.items()}
+            and star(y).terms == x.terms
+            and all(table[table[l]] is l for w in y.terms for l in w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(carriers((1, 2)).flatmap(lambda alg: st.lists(
+    st.tuples(walks(alg), COEFFS), min_size=1, max_size=5).map(
+        lambda ts: alg.element({as_word(letters, start): c
+                                for (start, letters, _), c in ts}))))
+def test_star_reads_the_letter_table(x):
+    assert star_matches_reference(x)
+
+
+def test_star_reference_catches_a_star_that_keeps_the_order(A23):
+    def unreversed(x):
+        flip = x.alg.star_of.__getitem__
+        return AlgElement(x.alg, {tuple(map(flip, w)): c
+                                  for w, c in x.terms.items()})
+    x = A23.edge("e1") * A23.ghost("e2") + A23.vertex("v")
+    assert star_matches_reference(x)
+    assert not star_matches_reference(x, unreversed)
+
+
 @st.composite
 def operand_pairs(draw):
     """Two elements over one carrier: words from several start vertices,
