@@ -6,9 +6,12 @@ seeded as the benchmark seeds it, in one closed loop: each job is timed,
 then checked untimed, as ``sepalbench/run.py`` does.  A ``gc.callbacks``
 hook counts the collections of each generation over the loop (input
 generation excluded), and the script prints them, the generation-2
-collections per 1,000 jobs, and the p50 and p99 job times (nearest rank,
-not scaled to a reference speed).  The exit code is 1 if a job's check
-failed.  Run from the root of a checkout:
+collections per 1,000 jobs, the p50 and p99 job times (nearest rank,
+not scaled to a reference speed), and the number of objects the collector
+tracks after input generation and after the loop, since that live heap
+sets what one generation-2 collection costs.  The exit code is 1 if a
+job's check failed.  Output into a closed pipe stops quietly.  Run from the
+root of a checkout:
 
     PYTHONPATH=src python3 scripts/gc_census.py --workload verify-small --jobs 2000 --seed 7
 """
@@ -17,6 +20,7 @@ import argparse
 import gc
 import importlib
 import math
+import os
 import pathlib
 import sys
 from time import perf_counter
@@ -50,6 +54,7 @@ def main() -> int:
                            for m in MODULES})
     workload = WORKLOADS[args.workload]
     jobs = iter(workload.generate(S, args.seed))
+    heap = [len(gc.get_objects())]
     collections = [0, 0, 0]
 
     def count(phase, info):
@@ -68,13 +73,25 @@ def main() -> int:
             failed += bool(workload.check(S, job, out))
     finally:
         gc.callbacks.remove(count)
+    heap.append(len(gc.get_objects()))
 
-    print(f"workload: {args.workload}, seed {args.seed}, {args.jobs} jobs, "
-          f"{failed} failed")
-    print("collections: gen0 {}, gen1 {}, gen2 {}".format(*collections)
-          + f" ({1000 * collections[2] / args.jobs:.1f} gen2 per 1,000 jobs)")
-    print(f"job ms: p50 {1000 * nearest_rank(times, 50):.2f}, "
-          f"p99 {1000 * nearest_rank(times, 99):.2f}")
+    lines = [
+        f"workload: {args.workload}, seed {args.seed}, {args.jobs} jobs, "
+        f"{failed} failed",
+        "collections: gen0 {}, gen1 {}, gen2 {}".format(*collections)
+        + f" ({1000 * collections[2] / args.jobs:.1f} gen2 per 1,000 jobs)",
+        f"job ms: p50 {1000 * nearest_rank(times, 50):.2f}, "
+        f"p99 {1000 * nearest_rank(times, 99):.2f}",
+        "tracked objects: {:,} after input generation, {:,} after the "
+        "loop".format(*heap)]
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left: point stdout at the null device, so that the
+        # final flush at exit has nowhere to fail
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if failed else 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import constructions as cons
@@ -46,7 +47,9 @@ def _prov(graph=None, alg=None, budget=None) -> dict:
         out["graph_sha256"] = graph_sha256(graph)
     if alg is not None:
         out["normal_form_graph_sha256"] = graph_sha256(alg.sep)
-        out["designated_edges"] = alg.chosen
+        # the designated edge of each group is its greatest (``staralg``)
+        out["designated_edges"] = {v: [max(grp) for grp in groups]
+                                   for v, groups in alg.sep.separation}
     if budget is not None:
         out["budget"] = {"coord_sum": budget.coord_sum,
                          "states": budget.states}
@@ -461,10 +464,16 @@ def main(argv=None, stdout=None) -> int:
     if ns.json:
         doc = {"command": ns.verb, "status": status,
                "payload": payload, "provenance": prov}
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        for line in lines:
-            out.write(line + "\n")
+        text = "".join(line + "\n" for line in lines)
+    try:
+        out.write(text)
+        out.flush()
+    except BrokenPipeError:  # the reader left (``sepal ... | head -1``)
+        # stop, and give the flush at exit the null device to write to
+        if out is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return _EXIT[status]
 
 

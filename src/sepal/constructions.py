@@ -42,9 +42,12 @@ The layout of a one-step resolution is a contract too, and
   follow them, upper vertex by upper vertex, each run in the product
   order of the choice tuples over that vertex's groups;
 * the edges run tuple by tuple, and within a tuple by position;
-* group j at each new upper vertex w is the group spawned by
-  ``in_edges(w)[j]`` (``homs.phi0`` relies on this);
+* the separation lists the new upper vertices in the order of the old
+  lower level, and group j at each new upper vertex w is the group
+  spawned by ``in_edges(w)[j]``;
 * the names within a group are sorted.
+
+``homs.phi0`` reads its images off the vertex runs and the group order.
 
 Union k of a Bratteli tower extends union k-1 by layer k's new lower
 vertices, its edges and its groups.
@@ -69,11 +72,11 @@ from .graphs import (
     SeparatedGraph,
     WeightedGraph,
     _born_valid,
+    _is_vertex_weighted,
+    _vertex_weight,
     as_bipartite,
     as_separated,
     as_weighted,
-    is_vertex_weighted,
-    vertex_weight,
 )
 
 
@@ -163,7 +166,7 @@ def weighted_completion(g: WeightedGraph) -> WeightedGraph:
     """Raise every edge weight to the weight of its source vertex."""
     g = as_weighted(g)
     return _born_valid(WeightedGraph, g.graph, tuple(
-        (e, vertex_weight(g, s)) for e, s, _ in g.graph.edges))
+        (e, _vertex_weight(g, s)) for e, s, _ in g.graph.edges))
 
 
 def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
@@ -176,7 +179,7 @@ def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
     resolution tuples below depend on this order.
     """
     g = as_weighted(g)
-    if not is_vertex_weighted(g):
+    if not _is_vertex_weighted(g):
         raise GraphError("edge weights must equal their source vertex weight")
     d = g.graph
     regular = [v for v in d.vertices if d.out_edges.get(v)]
@@ -186,7 +189,7 @@ def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
     sep = []
     for v in regular:
         tildes = [name_tilde(e) for e in d.out_edges[v]]
-        hs = [name_h(v, i) for i in range(1, vertex_weight(g, v) + 1)]
+        hs = [name_h(v, i) for i in range(1, _vertex_weight(g, v) + 1)]
         edges += [(name_tilde(e), name_upper_copy(v), name_lower_copy(d.rng(e)))
                   for e in d.out_edges[v]]
         edges += [(h, name_upper_copy(v), name_lower_copy(v)) for h in hs]
@@ -274,7 +277,7 @@ def separated_of_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
     sep = []
     for v in d.vertices:
         groups: list[tuple[str, ...]] = []
-        for i in range(1, vertex_weight(g, v) + 1):
+        for i in range(1, _vertex_weight(g, v) + 1):
             grp = [name_slot_edge(i, e) for e in d.out_edges[v] if g.w[e] >= i]
             edges += [(name_slot_edge(i, e), v, name_slot_vertex(e, i))
                       for e in d.out_edges[v] if g.w[e] >= i]

@@ -522,14 +522,24 @@ def vertex_weight(g: WeightedGraph, v: str) -> int:
     g = as_weighted(g)
     if v not in g.graph.vertex_set:
         raise GraphError(f"unknown vertex {v!r}")
-    fiber = g.graph.out_edges.get(v, ())
-    return max((g.w[e] for e in fiber), default=0)
+    return _vertex_weight(g, v)
 
 
 def is_vertex_weighted(g: WeightedGraph) -> bool:
     """True when every edge carries the weight of its source vertex."""
-    g = as_weighted(g)
-    return all(g.w[e] == vertex_weight(g, s) for e, s, _ in g.graph.edges)
+    return _is_vertex_weighted(as_weighted(g))
+
+
+# the readings past a gate, for builders and relation families that have
+# checked ``g`` once
+
+
+def _vertex_weight(g: WeightedGraph, v: str) -> int:
+    return max((g.w[e] for e in g.graph.out_edges.get(v, ())), default=0)
+
+
+def _is_vertex_weighted(g: WeightedGraph) -> bool:
+    return all(g.w[e] == _vertex_weight(g, s) for e, s, _ in g.graph.edges)
 
 
 # ---------------------------------------------------------------------------

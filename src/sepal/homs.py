@@ -23,6 +23,7 @@ The four bundled maps:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import constructions as cons
@@ -30,18 +31,16 @@ from .graphs import (
     BipartiteSeparatedGraph,
     GraphError,
     WeightedGraph,
+    _is_vertex_weighted,
+    _vertex_weight,
     as_bipartite,
     as_separated,
     as_weighted,
-    is_vertex_weighted,
-    vertex_weight,
 )
 from .staralg import (
     AlgebraError,
     AlgElement,
     Coeff,
-    GHOST,
-    VERTEX,
     StarAlgebra,
     _collect,
     as_coeff,
@@ -173,7 +172,7 @@ def relations(kind: str, g) -> RelationSet:
         if kind == "weighted":
             for v in regular:
                 fiber = d.out_edges[v]
-                wv = vertex_weight(g, v)
+                wv = _vertex_weight(g, v)
                 for i in range(1, wv + 1):
                     for j in range(1, wv + 1):
                         words = [(x[e, i], y[e, j]) for e in fiber
@@ -203,7 +202,7 @@ def relations(kind: str, g) -> RelationSet:
                         for i in range(1, min(g.w[e], g.w[f]) + 1):
                             rels.append((f"offedge:{v}.{e}.{f}.{i}",
                                          _sum(((y[e, i], x[f, i]),))))
-                for i in range(1, vertex_weight(g, v) + 1):
+                for i in range(1, _vertex_weight(g, v) + 1):
                     words = [(x[e, i], y[e, i]) for e in fiber
                              if g.w[e] >= i]
                     rels.append((f"diag:{v}.{i}", _sum(words, v)))
@@ -347,23 +346,29 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
     algebra of its one-step resolution.
 
     Upper vertices go to the sum of their choice-tuple vertices, lower
-    vertices stay put, and an edge x goes to the sum of the ghost letters
-    a^x(...)* over the complementary tuples.  Those are the edges of the
-    group x spawned in the resolution: at each lower vertex w, group j of
-    the resolution is the one spawned by ``in_edges(w)[j]``.
+    vertices stay put, and an edge x goes to the sum of the ghosts of the
+    group x spawned, the a^x(...)* over the complementary tuples.  The
+    images are letter ids read off the layout of a one-step resolution that
+    the ``constructions`` docstring fixes: each upper vertex's tuple
+    vertices are one run of ids, after g's lower vertices and in the order
+    of g's upper level, and the algebra's k-th group is the one spawned by
+    the k-th edge into g's lower level, in ``in_edges`` order.
     """
     g = as_bipartite(g)
     resolved = cons.one_step_resolution(g)
     alg = StarAlgebra(resolved)
+    ne = alg.ghosts - alg.nv  # a direct letter's ghost is ne ids on
     images: dict[str, AlgElement] = {}
+    groups = iter(alg.groups)
     for w in g.lower:
         images[w] = alg.vertex(w)
-        for x, grp in zip(g.graph.in_edges[w], resolved.sep[w]):
-            images[x] = AlgElement(alg, {((a, GHOST),): 1 for a in grp})
+        for x, grp in zip(g.graph.in_edges[w], groups):
+            images[x] = AlgElement(alg, {(a + ne,): 1 for a in grp})
+    start = len(g.lower)
     for u in g.upper:
-        images[u] = AlgElement(alg, {
-            ((cons.name_tuple_vertex(tup), VERTEX),): 1
-            for tup in itertools.product(*g.sep[u])})
+        stop = start + math.prod(map(len, g.sep[u]))
+        images[u] = AlgElement(alg, {(t,): 1 for t in range(start, stop)})
+        start = stop
     return GeneratorMap("phi0", alg, images, {"resolution": resolved})
 
 
@@ -468,7 +473,7 @@ def ideal_generators(kind: str, g, bound: int | None = None,
     """
     if kind == "i0":
         g = as_weighted(g)
-        if not is_vertex_weighted(g):
+        if not _is_vertex_weighted(g):
             raise GraphError("i0 images need a vertex-weighted graph")
         gmap = phi_vw(g)
         out = []

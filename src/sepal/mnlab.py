@@ -18,6 +18,7 @@ partition (n, 1, ..., 1).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import constructions as cons
@@ -32,6 +33,9 @@ from .homs import GeneratorMap, relations, slot_name, verify
 from .staralg import StarAlgebra
 
 Matrix = tuple[tuple[int, ...], ...]
+
+# the most partitions or matrices one listing makes; past it, it refuses
+MAX_LISTED = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,16 @@ class MnPartition:
 
 def partitions(m: int, n: int) -> list[MnPartition]:
     """All (m, n) partitions, in decreasing lexicographic order: n, then
-    each weakly decreasing choice of m - 1 parts from n, ..., 1."""
+    each weakly decreasing choice of m - 1 parts from n, ..., 1.  There
+    are C(n + m - 2, m - 1) of them; past ``MAX_LISTED`` (2^20) it raises
+    ``ResourceLimitError`` before it lists any."""
     if m < 1 or n < 1:
         raise GraphError("need m >= 1 and n >= 1")
+    count = math.comb(n + m - 2, m - 1)
+    if count > MAX_LISTED:
+        raise cons.ResourceLimitError(
+            f"listing {count:,} ({m}, {n}) partitions refused: more than "
+            f"{MAX_LISTED:,}")
     return [MnPartition(m, n, (n, *rest)) for rest in
             itertools.combinations_with_replacement(range(n, 0, -1), m - 1)]
 
@@ -111,8 +122,9 @@ def generator_matrix(p: MnPartition) -> tuple[tuple[str | None, ...], ...]:
 def ideal_matrices(m: int, n: int) -> list[Matrix]:
     """All 0/1 m x n matrices without zero rows or zero columns, in row-major
     lexicographic order.  Entry (i, j) = 1 marks slot vertex v(e_j, i) of the
-    completed graph staying outside the ideal."""
-    if m * n > 20:
+    completed graph staying outside the ideal.  Past 2^(m n) >
+    ``MAX_LISTED`` candidate matrices it raises ``ResourceLimitError``."""
+    if 1 << (m * n) > MAX_LISTED:
         raise cons.ResourceLimitError(
             f"enumeration over 2^{m * n} matrices refused")
     rows = [r for r in itertools.product((0, 1), repeat=n) if any(r)]

@@ -9,35 +9,42 @@ mixes with the integers through plain arithmetic.  Coefficients are
 coerced once, at those entry points; sums, products and rewrites combine
 coefficients that are already coerced.
 
-Every question about where a word starts and ends reads one table,
-``StarAlgebra.ends``, which maps each letter to its (source, range): a
-vertex letter to (v, v), a direct letter e to (s(e), r(e)) and a ghost
-letter e* to (r(e), s(e)).  ``element`` accepts only words whose letters
-meet.  Another, ``StarAlgebra.star_of``, maps each letter to its star:
-a direct letter e to the ghost e* and back, and a vertex letter to
-itself.  ``AlgElement.star`` reverses each word through it, so a starred
-word holds the letters the algebra made once, and makes no new ones.
+Letters are ints.  ``StarAlgebra`` numbers each letter once, in the
+graph's order: vertices 0..V-1, direct edges V..V+E-1 and their ghosts
+V+E..V+2E-1.  A word is a tuple of letter ids, the key of
+``AlgElement.terms``, and the core reads flat lists indexed by letter:
 
-One table, ``StarAlgebra.rules``, holds the rewrite rules.  It maps the
-letter pair of a redex to the vertex word left when a splice is empty and
-the (letters, sign) pairs spliced in the pair's place:
+* ``src`` and ``rng``, where a letter starts and ends: v at (v, v), e at
+  (s(e), r(e)) and e* at (r(e), s(e));
+* ``star_of``, e to e* and back, a vertex to itself; ``AlgElement.star``
+  reverses each word through it;
+* ``group``, the id of e's group, shared by e and e*, and -1 at a vertex;
+  group k, in separation order, holds the direct letters ``groups[k]``;
+* ``rules``, at letter l the rewrite of the redex l star_of[l], or None:
+  the vertex word left when a splice is empty and the (letters, sign)
+  pairs spliced in the pair's place.  Every ghost has one, and so does the
+  designated (greatest) edge of each group:
 
-* e* e -> r(e), splicing in ((), +1), for every edge e;
-* e e* -> s(e), splicing in ((), +1) and ((g, g*), -1) for each other
-  member g of e's group, for the designated (greatest) edge e of a group.
+  * e* e -> r(e), splicing in ((), +1), for every edge e;
+  * e e* -> s(e), splicing in ((), +1) and ((g, g*), -1) for each other
+    member g of e's group.
 
-The rule e* f = 0 for f ≠ e in e's group needs no entries: it is the
-test ``group_of[e] is group_of[f]`` on the graph's table of group tuples,
-one shared object per group.  ``normal_form`` splices at the leftmost
-redex; a product applies only the (e*, e) entries, where two words meet.
-It pairs each left word only with the right words that start where it
-ends, and a left word ending in e* skips the bucket of e's group and
-splices only with the right words that start with e, so a sum over a
-group of g edges times its adjoint tries g pairs, not g².
+The rule e* f = 0 for f ≠ e in e's group needs no entry: it is the test
+``group[e*] == group[f]``.  ``normal_form`` splices at the leftmost redex;
+a product applies only the e* e rules, where two words meet.  It pairs
+each left word only with the right words that start where it ends, and a
+left word ending in e* skips the bucket of e's group and splices only with
+the right words that start with e, so a sum over a group of g edges times
+its adjoint tries g pairs, not g².
 
-``chosen`` lists the designated edges per vertex, for the CLI.
-Irreducible words form a linear basis (Bergman's Diamond Lemma), so two
-elements are equal exactly when their normal forms match termwise.
+Names appear only at the boundary: ``element`` reads words of (name, kind)
+letters (kinds ``DIRECT``, ``GHOST``, ``VERTEX``), ``vertex``, ``edge`` and
+``ghost`` take names, ``StarAlgebra.named`` spells an element's words back
+in letters, and ``format_element`` and ``basis_words`` print and return
+those.  ``homs.phi0`` reads letter ids off the layout of a one-step
+resolution.  Irreducible words form a linear basis (Bergman's Diamond
+Lemma), so two elements are equal exactly when their normal forms match
+termwise.
 """
 
 from __future__ import annotations
@@ -54,6 +61,9 @@ Letter = tuple[str, int]
 Word = tuple[Letter, ...]
 Coeff = int | Fraction
 
+# the splices of e* e -> r(e): the pair alone, dropped
+_DROP_PAIR = (((), 1),)
+
 
 class AlgebraError(ValueError):
     """Ill-typed algebra operation (unknown name, mixed graphs, ...)."""
@@ -64,6 +74,7 @@ class StarAlgebra:
 
     Accepts a separated or bipartite separated graph.  The graph given is
     kept as ``graph``; the algebra reads only its separated base, ``sep``.
+    ``nv`` is the number of vertices and ``ghosts`` the first ghost id.
     """
 
     def __init__(self, graph):
@@ -71,35 +82,51 @@ class StarAlgebra:
         self.graph = graph
         self.sep = sep
         d = sep.graph
-        # each vertex word and edge letter is made once and shared by the
-        # tables and by ``vertex``, ``edge`` and ``ghost``: fewer live
-        # objects, fewer garbage collections
-        self._word = word = {v: ((v, VERTEX),) for v in d.vertices}
-        self._direct = direct = {e: (e, DIRECT) for e in d.edge_names}
-        self._ghost = ghost = {e: (e, GHOST) for e in d.edge_names}
-        self.ends: dict[Letter, tuple[str, str]] = {
-            w[0]: (v, v) for v, w in word.items()}
-        self.ends.update((direct[e], (s, r)) for e, s, r in d.edges)
-        self.ends.update((ghost[e], (r, s)) for e, s, r in d.edges)
-        self.star_of: dict[Letter, Letter] = {
-            w[0]: w[0] for w in word.values()}
-        self.star_of.update((direct[e], ghost[e]) for e in d.edge_names)
-        self.star_of.update((ghost[e], direct[e]) for e in d.edge_names)
+        self._vertices, self._edges = d.vertices, d.edge_names
+        nv, ne = len(d.vertices), len(d.edges)
+        self.nv, self.ghosts = nv, nv + ne
+        self._vertex_id = vid = {v: i for i, v in enumerate(d.vertices)}
+        self._edge_id = eid = {e: nv + j for j, e in enumerate(self._edges)}
         self.vertex_names = d.vertex_set
-        self.group_of = sep.group_of
-        self.chosen: dict[str, list[str]] = {
-            v: [max(grp) for grp in groups] for v, groups in sep.separation}
-        collapse = {v: (w, (((), 1),)) for v, w in word.items()}
-        self.rules: dict[tuple[Letter, Letter], tuple[Word, tuple]] = {
-            (ghost[e], direct[e]): collapse[r] for e, _, r in d.edges}
+        sources = [vid[s] for _, s, _ in d.edges]
+        ranges = [vid[r] for _, _, r in d.edges]
+        verts = range(nv)
+        self.src = [*verts, *sources, *ranges]
+        self.rng = [*verts, *ranges, *sources]
+        self.star_of = [*verts, *range(nv + ne, nv + 2 * ne),
+                        *range(nv, nv + ne)]
+        # each vertex word is made once and shared by the rules
+        unit = [(v,) for v in verts]
+        self.rules: list = [None] * self.ghosts
+        self.rules += [(unit[r], _DROP_PAIR) for r in ranges]
+        self.group = [-1] * (nv + 2 * ne)
+        self.groups: list[tuple[int, ...]] = []
         for v, groups in sep.separation:
-            for e, grp in zip(self.chosen[v], groups):
-                self.rules[direct[e], ghost[e]] = word[v], (
-                    ((), 1), *(((direct[g], ghost[g]), -1)
-                               for g in grp if g != e))
+            for grp in groups:
+                k = len(self.groups)
+                members = tuple(eid[e] for e in grp)
+                self.groups.append(members)
+                for a in members:
+                    self.group[a] = self.group[a + ne] = k
+                e = eid[max(grp)]
+                self.rules[e] = unit[vid[v]], (((), 1), *(
+                    ((a, a + ne), -1) for a in members if a != e))
 
     def same_carrier(self, other: "StarAlgebra") -> bool:
         return self is other or self.sep == other.sep
+
+    def _letter(self, l: int) -> Letter:
+        if l < self.nv:
+            return self._vertices[l], VERTEX
+        if l < self.ghosts:
+            return self._edges[l - self.nv], DIRECT
+        return self._edges[l - self.ghosts], GHOST
+
+    def named(self, elem: "AlgElement") -> dict[Word, Coeff]:
+        """The terms of ``elem``, each word spelled in (name, kind)
+        letters."""
+        letter = self._letter
+        return {tuple(map(letter, w)): c for w, c in elem.terms.items()}
 
     # -- element constructors
 
@@ -107,36 +134,42 @@ class StarAlgebra:
         return AlgElement(self, {})
 
     def vertex(self, name: str) -> "AlgElement":
-        if name not in self._word:
+        if name not in self._vertex_id:
             raise AlgebraError(f"unknown vertex {name!r}")
-        return AlgElement(self, {self._word[name]: 1})
+        return AlgElement(self, {(self._vertex_id[name],): 1})
 
     def edge(self, name: str) -> "AlgElement":
-        if name not in self._direct:
+        if name not in self._edge_id:
             raise AlgebraError(f"unknown edge {name!r}")
-        return AlgElement(self, {(self._direct[name],): 1})
+        return AlgElement(self, {(self._edge_id[name],): 1})
 
     def ghost(self, name: str) -> "AlgElement":
-        if name not in self._ghost:
+        if name not in self._edge_id:
             raise AlgebraError(f"unknown edge {name!r}")
-        return AlgElement(self, {(self._ghost[name],): 1})
+        return AlgElement(self, {(self.star_of[self._edge_id[name]],): 1})
 
     def element(self, terms: dict[Word, Coeff]) -> "AlgElement":
-        """An element from words of this graph: each word is non-empty,
-        every letter is known, a vertex letter stands alone, and
+        """An element from (name, kind) words of this graph: each word is
+        non-empty, every letter is known, a vertex letter stands alone, and
         consecutive letters meet."""
-        ends = self.ends
-        for w in terms:
+        src, rng, vid, eid = self.src, self.rng, self._vertex_id, self._edge_id
+        shift = {DIRECT: 0, GHOST: self.ghosts - self.nv}
+        out = {}
+        for w, c in terms.items():
             if not w:
                 raise AlgebraError("the empty word is not an element")
-            if not all(l in ends for l in w):
-                raise AlgebraError(f"unknown letter in word {w!r}")
-            if len(w) > 1 and any(k == VERTEX for _, k in w):
+            try:
+                word = tuple(vid[n] if k == VERTEX else eid[n] + shift[k]
+                             for n, k in w)
+            except (KeyError, TypeError, ValueError):
+                raise AlgebraError(f"unknown letter in word {w!r}") from None
+            if len(word) > 1 and min(word) < self.nv:
                 raise AlgebraError(f"vertex letter inside word {w!r}")
-            if any(ends[a][1] != ends[b][0] for a, b in zip(w, w[1:])):
+            if any(rng[a] != src[b] for a, b in zip(word, word[1:])):
                 raise AlgebraError(f"letters of {w!r} do not meet")
-        return AlgElement(self, {w: as_coeff(c) for w, c in terms.items()
-                                 if c != 0})
+            if c != 0:
+                out[word] = as_coeff(c)
+        return AlgElement(self, out)
 
 
 def _collect(terms: dict, word, coeff) -> None:
@@ -160,16 +193,16 @@ class AlgElement:
     The arithmetic operators are raw but for one rule: ``+`` and ``-``
     collect words and never rewrite, and ``*`` (the product of two
     elements) drops a pair where a left word ending in e* meets a right
-    word starting with f ≠ e in e's group, and applies the table's (e*, e)
-    entry where it meets one starting with e; the e e* entries and every
-    redex inside a word stay with ``normal_form``.
+    word starting with f ≠ e in e's group, and applies the rule of e* e
+    where it meets one starting with e; the e e* rules and every redex
+    inside a word stay with ``normal_form``.
     ``scale`` multiplies by a scalar.  Use ``normal_form`` for normalized
     results.
     """
 
     __slots__ = ("alg", "terms")
 
-    def __init__(self, alg: StarAlgebra, terms: dict[Word, Coeff]):
+    def __init__(self, alg: StarAlgebra, terms: dict[tuple[int, ...], Coeff]):
         self.alg = alg
         self.terms = terms
 
@@ -203,49 +236,55 @@ class AlgElement:
     def __mul__(self, other: "AlgElement") -> "AlgElement":
         self._need_same(other)
         alg = self.alg
-        ends, group_of, rules = alg.ends, alg.group_of, alg.rules
+        src, rng, group, rules = alg.src, alg.rng, alg.group, alg.rules
+        star_of, nv, ghosts = alg.star_of, alg.nv, alg.ghosts
         # right words by source vertex: those that start with a ghost or a
         # vertex in one list, those that start with a direct letter in one
-        # bucket per group (named by its first edge) and again by that letter
-        loose: dict[str, list[tuple[Word, Coeff]]] = {}
-        grouped: dict[str, dict[str, list[tuple[Word, Coeff]]]] = {}
-        by_first: dict[str, list[tuple[Word, Coeff]]] = {}
+        # bucket per group and again by that letter
+        loose: dict[int, list] = {}
+        grouped: dict[int, dict[int, list]] = {}
+        by_first: dict[int, list] = {}
         for wb, cb in other.terms.items():
-            name, kind = first = wb[0]
-            if kind == DIRECT:
-                grouped.setdefault(ends[first][0], {}).setdefault(
-                    group_of[name][0], []).append((wb, cb))
-                by_first.setdefault(name, []).append((wb, cb))
+            first = wb[0]
+            if nv <= first < ghosts:
+                grouped.setdefault(src[first], {}).setdefault(
+                    group[first], []).append((wb, cb))
+                by_first.setdefault(first, []).append((wb, cb))
             else:
-                loose.setdefault(ends[first][0], []).append((wb, cb))
-        out: dict[Word, Coeff] = {}
+                loose.setdefault(src[first], []).append((wb, cb))
+        out: dict = {}
         for wa, ca in self.terms.items():
-            name, kind = last = wa[-1]
-            v = ends[last][1]
-            buckets = grouped.get(v)
-            head = () if kind == VERTEX else wa  # v b = b
+            last = wa[-1]
+            v = rng[last]
+            head = wa if last >= nv else ()  # v b = b
             for wb, cb in loose.get(v, ()):  # a u = a for the vertex u = v
-                _collect(out, wa if head and wb[0][1] == VERTEX
-                         else head + wb, ca * cb)
-            for key, bucket in buckets.items() if buckets else ():
+                _collect(out, wa if head and wb[0] < nv else head + wb,
+                         ca * cb)
+            buckets = grouped.get(v)
+            if buckets:
                 # e* f with f in e's group is 0 for f ≠ e; e* e is left to
                 # the seam below, which reads only the words that start with e
-                if kind == GHOST and group_of[key] is group_of[name]:
-                    continue
-                for wb, cb in bucket:
-                    _collect(out, head + wb, ca * cb)
-            if kind == GHOST and name in by_first:  # h e* . e t, by (e*, e)
-                u, splices = rules[last, (name, DIRECT)]
-                for wb, cb in by_first[name]:
+                mates = group[last] if last >= ghosts else -1
+                for key, bucket in buckets.items():
+                    if key != mates:
+                        for wb, cb in bucket:
+                            _collect(out, head + wb, ca * cb)
+            if last >= ghosts and star_of[last] in by_first:
+                u, splices = rules[last]  # h e* . e t, by e* e -> r(e)
+                for wb, cb in by_first[star_of[last]]:
                     for mid, sign in splices:
                         _collect(out, wa[:-1] + mid + wb[1:] or u,
                                  sign * ca * cb)
         return AlgElement(alg, out)
 
     def star(self) -> "AlgElement":
-        flip = self.alg.star_of.__getitem__
-        return AlgElement(self.alg, {tuple(map(flip, reversed(w))): c
-                                     for w, c in self.terms.items()})
+        # one-letter words, every word of a phi0 image, skip the reversal
+        star_of = self.alg.star_of
+        flip = star_of.__getitem__
+        return AlgElement(self.alg, {
+            ((star_of[w[0]],) if len(w) == 1
+             else tuple(map(flip, reversed(w)))): c
+            for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgElement)
@@ -259,13 +298,15 @@ class AlgElement:
 
 
 def format_element(elem: AlgElement) -> str:
-    """Canonical rendering: terms sorted by word length then letters, ghost
-    letters with a postfix star, coefficients as integers or fractions."""
+    """Canonical rendering: terms sorted by word length then (name, kind)
+    letters, ghost letters with a postfix star, coefficients as integers or
+    fractions."""
     if elem.is_zero:
         return "0"
     parts: list[str] = []
-    for word in sorted(elem.terms, key=lambda w: (len(w), w)):
-        coeff = elem.terms[word]
+    terms = elem.alg.named(elem)
+    for word in sorted(terms, key=lambda w: (len(w), w)):
+        coeff = terms[word]
         body = " ".join(n + "*" if k == GHOST else n for n, k in word)
         mag = abs(coeff)
         txt = body if mag == 1 else f"{mag} {body}"
@@ -276,40 +317,42 @@ def format_element(elem: AlgElement) -> str:
     return " ".join(parts)
 
 
-def _first_redex(alg: StarAlgebra, word: Word) -> int | None:
+def _first_redex(alg: StarAlgebra, word: tuple[int, ...]) -> int | None:
     """Where the leftmost redex of ``word`` starts, or None: e* f with e, f
-    in one group, or a key of ``alg.rules``.  Every redex joins letters of
-    two kinds and every key a letter to its star, so those cheap tests come
-    before the key is looked up."""
-    group_of, rules = alg.group_of, alg.rules
+    in one group, or e e* with a rule at e."""
+    group, star_of, rules, ghosts = alg.group, alg.star_of, alg.rules, \
+        alg.ghosts
     for i in range(len(word) - 1):
         a, b = word[i], word[i + 1]
-        if a[1] == GHOST:
-            if b[1] == DIRECT and group_of[a[0]] is group_of[b[0]]:
+        if a >= ghosts:
+            if b < ghosts and group[a] == group[b]:
                 return i
-        elif b[1] == GHOST and a[0] == b[0] and (a, b) in rules:
+        elif b == star_of[a] and rules[a] is not None:
             return i
     return None
 
 
 def normal_form(elem: AlgElement) -> AlgElement:
     """Rewrite every term to the irreducible basis, always at its leftmost
-    redex: the redex's entry in ``alg.rules`` splices in its place, and an
-    e* f with no entry kills the term.  The rules are confluent and each
+    redex: the redex's rule in ``alg.rules`` splices in its place, and an
+    e* f with no rule kills the term.  The rules are confluent and each
     step shrinks a well-founded term measure, so every choice of redex
     gives this answer; the tests check it against a rewriter with its own
     rules and random redexes."""
     alg = elem.alg
-    rules = alg.rules
+    rules, star_of = alg.rules, alg.star_of
     pending = dict(elem.terms)
-    done: dict[Word, Coeff] = {}
+    done: dict = {}
     while pending:
         word, coeff = pending.popitem()
         i = _first_redex(alg, word)
         if i is None:
             _collect(done, word, coeff)
             continue
-        u, splices = rules.get((word[i], word[i + 1]), (None, ()))
+        a = word[i]
+        if word[i + 1] != star_of[a]:  # e* f for f ≠ e in e's group
+            continue
+        u, splices = rules[a]
         head, tail = word[:i], word[i + 2:]
         for mid, sign in splices:
             _collect(pending, head + mid + tail or u, sign * coeff)
@@ -319,28 +362,30 @@ def normal_form(elem: AlgElement) -> AlgElement:
 def basis_words(alg: StarAlgebra, max_len: int,
                 start: str | None = None) -> list[Word]:
     """All irreducible words with at most ``max_len`` edge letters,
-    optionally restricted to a given source vertex, in breadth-first order."""
+    optionally restricted to a given source vertex, in breadth-first order,
+    spelled in (name, kind) letters."""
     if start is not None and start not in alg.vertex_names:
         raise AlgebraError(f"unknown vertex {start!r}")
     # edge letters by source vertex: direct letters, then ghosts, each in
     # edge order
-    leaving: dict[str, list[Letter]] = {}
-    for l, (s, _) in alg.ends.items():
-        if l[1] != VERTEX:
-            leaving.setdefault(s, []).append(l)
-    vertices = (start,) if start is not None else tuple(alg.sep.graph.vertices)
-    out: list[Word] = [((v, VERTEX),) for v in vertices]
-    layer: list[Word] = [(l,) for v in vertices for l in leaving.get(v, ())]
+    leaving: list[list[int]] = [[] for _ in range(alg.nv)]
+    for l in range(alg.nv, len(alg.src)):
+        leaving[alg.src[l]].append(l)
+    vertices = (range(alg.nv) if start is None
+                else (alg._vertex_id[start],))
+    out: list[tuple[int, ...]] = [(v,) for v in vertices]
+    layer = [(l,) for v in vertices for l in leaving[v]]
     for _ in range(max_len):
         out += layer
         nxt = []
         for w in layer:
             if len(w) == max_len:
                 continue
-            for l in leaving.get(alg.ends[w[-1]][1], ()):
+            for l in leaving[alg.rng[w[-1]]]:
                 if _first_redex(alg, (w[-1], l)) is None:
                     nxt.append(w + (l,))
         layer = nxt
         if not layer:
             break
-    return out
+    letter = alg._letter
+    return [tuple(map(letter, w)) for w in out]

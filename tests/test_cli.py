@@ -2,6 +2,10 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -517,6 +521,48 @@ def test_mnlab_partitions():
     code, doc = run_json("mnlab", "partitions", "--m", "3", "--n", "4")
     assert code == 0
     assert doc["payload"]["count"] == 10
+
+
+def test_mnlab_partitions_refuse_past_the_cap():
+    code, doc = run_json("mnlab", "partitions", "--m", "12", "--n", "40")
+    assert code == 2
+    assert doc["status"] == "error"
+    assert doc["payload"]["message"] == (
+        "listing 37,353,738,800 (12, 40) partitions refused: more than "
+        "1,048,576")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("mnlab", "partitions", "--m", "4", "--n", "30"), 0),
+    (("--json", "mnlab", "partitions", "--m", "4", "--n", "30"), 0),
+    (("mnlab", "partitions", "--m", "12", "--n", "40"), 2),
+], ids=["text", "json", "refused"])
+def test_output_into_a_closed_pipe_stops_quietly(capsys, argv, code):
+    assert main(list(argv), stdout=ClosedPipe()) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_output_into_a_pipe_closed_early_exits_cleanly():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepal", "mnlab", "partitions", "--m", "4",
+         "--n", "30"], env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the reader is gone before the first write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
 
 
 def test_mnlab_refinement():

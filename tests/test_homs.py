@@ -34,6 +34,7 @@ from sepal.homs import (
 from sepal.staralg import (
     GHOST,
     DIRECT,
+    VERTEX,
     AlgebraError,
     AlgElement,
     StarAlgebra,
@@ -41,7 +42,7 @@ from sepal.staralg import (
     format_element,
     normal_form,
 )
-from sepal.sweeps import bipartite_sweep, weighted_sweep
+from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
 from test_staralg import corner
 
 nf = normal_form
@@ -105,7 +106,8 @@ def test_phi_vw_on_vertex_weighted(wmax22):
     assert rep.all_zero, rep.failures[:3]
     # the image of a slot generator is a two-letter word h(v,i)* e~
     img = gmap.images["e1.1"]
-    assert list(img.terms) == [(("h(v,1)", GHOST), ("e1~", DIRECT))]
+    assert list(gmap.target.named(img)) == [(("h(v,1)", GHOST),
+                                             ("e1~", DIRECT))]
 
 
 def test_phi_vw_rejects_uneven_weights(omega0_35):
@@ -132,6 +134,37 @@ def test_phi0_on_e23(e23):
     assert rep.all_zero and rep.checked == 31
 
 
+def phi0_images_by_name(g):
+    """Reference for ``phi0``'s images, spelled from the names that the
+    resolution gives its vertices and groups: a lower vertex w stays w, an
+    upper vertex u goes to the sum of its tuple vertices v(...), and an edge
+    x into w to the ghosts of group j at w, for x = in_edges(w)[j]."""
+    resolved = cons.one_step_resolution(g)
+    images = {}
+    for w in g.lower:
+        images[w] = {((w, VERTEX),): 1}
+        for x, grp in zip(g.graph.in_edges[w], resolved.sep[w]):
+            images[x] = {((a, GHOST),): 1 for a in grp}
+    for u in g.upper:
+        images[u] = {((cons.name_tuple_vertex(tup), VERTEX),): 1
+                     for tup in itertools.product(*g.sep[u])}
+    return images
+
+
+def test_phi0_reads_the_resolution_layout():
+    # phi0 reads letter ids off the layout of the resolution; spelled in
+    # names, its images are the reference's, term for term and in order
+    graphs = bipartite_sweep() + [cons.bratteli(g, 1).layers[1]
+                                  for g in emn_sweep()]
+    for g in graphs:
+        gmap = phi0(g)
+        got = {n: gmap.target.named(x) for n, x in gmap.images.items()}
+        want = phi0_images_by_name(g)
+        assert got == want
+        assert list(got) == list(want)
+        assert all(list(got[n]) == list(want[n]) for n in want)
+
+
 def test_rho_tau_kills_both_pair_families(e23):
     gmap = rho_tau(e23)
     for kind in ("lv", "lw"):
@@ -156,7 +189,7 @@ def as_generator_terms(el: AlgElement) -> dict:
     """An element's words as generator words over its own graph's vertex and
     edge names, the ghost letter e* read as the starred generator e."""
     return {tuple((n, k == GHOST) for n, k in w): c
-            for w, c in el.terms.items()}
+            for w, c in el.alg.named(el).items()}
 
 
 def test_evaluate_coerces_outside_coefficients(wmax22):
@@ -263,7 +296,7 @@ def test_images_over_an_equal_graph_are_accepted(wmax22):
     twin = StarAlgebra(phi1(wmax22).target.graph)
     assert twin is not gmap.target
     moved = GeneratorMap(gmap.kind, gmap.target,
-                         {n: twin.element(x.terms)
+                         {n: twin.element(x.alg.named(x))
                           for n, x in gmap.images.items()})
     assert verify(moved, relations("weighted-l1", wmax22)).all_zero
     terms = {(("e1.1", False), ("e1.1", True)): 1}

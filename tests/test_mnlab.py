@@ -59,6 +59,20 @@ def test_partition_counts():
     assert partitions(1, 5) == [MnPartition.make(1, 5, (5,))]
 
 
+def test_partitions_refuse_past_the_cap_before_listing(monkeypatch):
+    # C(50, 11) partitions, about 3.7e10: refused at once, none listed
+    with pytest.raises(cons.ResourceLimitError,
+                       match=r"listing 37,353,738,800 \(12, 40\) partitions "
+                             r"refused: more than 1,048,576"):
+        partitions(12, 40)
+    assert mnlab.MAX_LISTED == 1 << 20
+    # the count at the cap is listed, one past it refused
+    monkeypatch.setattr(mnlab, "MAX_LISTED", 10)
+    assert len(partitions(3, 4)) == 10
+    with pytest.raises(cons.ResourceLimitError, match="listing 15 "):
+        partitions(3, 5)
+
+
 def partitions_by_recursion(m: int, n: int) -> list[MnPartition]:
     """Reference for ``partitions``: extend each prefix by every part from
     its last part down to 1."""

@@ -4,6 +4,7 @@ they use breaks a test instead of the script alone."""
 import os
 import pathlib
 import re
+import runpy
 import subprocess
 import sys
 
@@ -61,12 +62,55 @@ def test_gc_census_counts_collections_and_times_jobs():
     done = run_script("gc_census.py", "--workload", "resolve-wide",
                       "--jobs", "9", "--seed", "1")
     assert done.returncode == 0, done.stderr
-    head, collections, times = done.stdout.splitlines()
+    head, collections, times, heap = done.stdout.splitlines()
     assert head == "workload: resolve-wide, seed 1, 9 jobs, 0 failed"
     counts = re.fullmatch(r"collections: gen0 \d+, gen1 \d+, gen2 (\d+) "
                           r"\((\d+\.\d) gen2 per 1,000 jobs\)", collections)
     assert counts and float(counts[2]) == round(1000 * int(counts[1]) / 9, 1)
     assert re.fullmatch(r"job ms: p50 \d+\.\d\d, p99 \d+\.\d\d", times)
+    live = re.fullmatch(r"tracked objects: ([\d,]+) after input generation, "
+                        r"([\d,]+) after the loop", heap)
+    assert live
+    # the library and the workload's inputs are live before the loop
+    assert int(live[1].replace(",", "")) > 1000
+    assert int(live[2].replace(",", "")) > 1000
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_gc_census_into_a_closed_pipe_stops_quietly(monkeypatch, capsys):
+    # in process: the script's main() with a stdout that refuses writes
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    script = runpy.run_path(str(ROOT / "scripts" / "gc_census.py"))
+    monkeypatch.setattr(sys, "argv", ["gc_census.py", "--workload",
+                                      "resolve-wide", "--jobs", "1"])
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert script["main"]() == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_gc_census_into_a_pipe_closed_early_exits_cleanly():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "gc_census.py"),
+         "--workload", "resolve-wide", "--jobs", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the reader is gone before the report is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""
 
 
 @pytest.mark.parametrize("args, message", [

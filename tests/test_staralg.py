@@ -21,6 +21,7 @@ from sepal.staralg import (
     AlgElement,
     StarAlgebra,
     basis_words,
+    format_element,
     normal_form,
 )
 from sepal.exprs import parse_element
@@ -30,15 +31,40 @@ from sepal.sweeps import bipartite_sweep, emn_sweep, weighted_sweep
 nf = normal_form
 
 
+def letter_ends(d, letter):
+    """Where a (name, kind) letter starts and ends, read off the directed
+    graph ``d``: a vertex at itself, e at (s(e), r(e)), e* at (r(e), s(e))."""
+    name, kind = letter
+    if kind == VERTEX:
+        return name, name
+    s, r = d.src(name), d.rng(name)
+    return (s, r) if kind == DIRECT else (r, s)
+
+
+def letter_names(alg):
+    """The (name, kind) letter of each letter id of ``alg``, read through
+    the public translation ``StarAlgebra.named``."""
+    every = AlgElement(alg, {(l,): 1 for l in range(len(alg.src))})
+    return [w[0] for w in alg.named(every)]
+
+
+def letter_id(alg, letter):
+    """The id of one (name, kind) letter, read through ``element``."""
+    ((l,),) = alg.element({(letter,): 1}).terms
+    return l
+
+
 def corner(elem, side: str):
     """The terms whose words start and end on one level of a bipartite
     separated graph: side ``V`` is upper, ``W`` lower."""
-    bip = as_bipartite(elem.alg.graph)
+    alg = elem.alg
+    bip = as_bipartite(alg.graph)
     level = {"V": bip.upper_set, "W": bip.lower_set}[side]
-    ends = elem.alg.ends
-    return AlgElement(elem.alg, {
-        w: c for w, c in elem.terms.items()
-        if ends[w[0]][0] in level and ends[w[-1]][1] in level})
+    d = alg.sep.graph
+    return alg.element({
+        w: c for w, c in alg.named(elem).items()
+        if letter_ends(d, w[0])[0] in level
+        and letter_ends(d, w[-1])[1] in level})
 
 
 class OracleRules:
@@ -87,7 +113,7 @@ def nf_oracle(x, rng=None, max_steps=10_000):
     ``max_steps`` steps.  The rules are confluent, so every choice of redex
     gives one answer."""
     rules = OracleRules(x.alg.sep)
-    pending = dict(x.terms)
+    pending = x.alg.named(x)
     done = {}
     steps = 0
     while pending:
@@ -118,18 +144,10 @@ def mul_by_all_pairs(a, b, seam=True):
     d = sep.graph
     group = {e: grp for _, groups in sep.separation
              for grp in groups for e in grp}
-
-    def ends(letter):
-        name, kind = letter
-        if kind == VERTEX:
-            return name, name
-        s, r = d.src(name), d.rng(name)
-        return (s, r) if kind == DIRECT else (r, s)
-
     out = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            if ends(wa[-1])[1] != ends(wb[0])[0]:
+    for wa, ca in a.alg.named(a).items():
+        for wb, cb in b.alg.named(b).items():
+            if letter_ends(d, wa[-1])[1] != letter_ends(d, wb[0])[0]:
                 continue
             (n1, k1), (n2, k2) = wa[-1], wb[0]
             if (seam and (k1, k2) == (GHOST, DIRECT)
@@ -148,9 +166,12 @@ def mul_by_all_pairs(a, b, seam=True):
 
 
 def redex_pairs(alg):
-    """Every letter pair that is a redex: a key of ``alg.rules``, or e* f
-    with e, f in one group (groups read from the separation)."""
-    pairs = set(alg.rules)
+    """Every (name, kind) letter pair that is a redex: l and its star for
+    each letter l with a rule in ``alg.rules``, or e* f with e, f in one
+    group (groups read from the separation)."""
+    names = letter_names(alg)
+    pairs = {(names[l], names[alg.star_of[l]])
+             for l, rule in enumerate(alg.rules) if rule is not None}
     for _, groups in alg.sep.separation:
         for grp in groups:
             pairs.update(((e, GHOST), (f, DIRECT)) for e in grp for f in grp)
@@ -158,11 +179,13 @@ def redex_pairs(alg):
 
 
 def one_step(alg, word, i):
-    """``word`` rewritten once at the redex i by its entry in ``alg.rules``,
-    or 0 for an e* f with no entry."""
-    u, splices = alg.rules.get((word[i], word[i + 1]), (None, ()))
-    return alg.element({word[:i] + mid + word[i + 2:] or u: sign
-                        for mid, sign in splices})
+    """The (name, kind) ``word`` rewritten once at the redex i by the rule
+    of ``alg.rules`` at its letter i, or 0 for an e* f with no rule."""
+    (ids,) = alg.element({word: 1}).terms
+    a, b = ids[i], ids[i + 1]
+    u, splices = alg.rules[a] if b == alg.star_of[a] else (None, ())
+    return AlgElement(alg, {ids[:i] + mid + ids[i + 2:] or u: sign
+                            for mid, sign in splices})
 
 
 def unresolved_overlaps(alg):
@@ -249,9 +272,11 @@ def test_separated_relations_rewrite_to_zero(A23):
 def test_oracle_catches_a_wrong_rewrite_rule(A23, monkeypatch):
     # a table that drops one g g* splice from e3 e3* = v - e1 e1* - e2 e2*
     assert unresolved_overlaps(A23) == []
-    key = (("e3", DIRECT), ("e3", GHOST))
-    u, splices = A23.rules[key]
-    monkeypatch.setitem(A23.rules, key, (u, splices[:2]))
+    key = letter_id(A23, ("e3", DIRECT))
+    rules = list(A23.rules)
+    u, splices = rules[key]
+    rules[key] = u, splices[:2]
+    monkeypatch.setattr(A23, "rules", rules)
     x = A23.edge("e3") * A23.ghost("e3")
     assert nf(x) == parse_element("v - e1 e1*", A23)
     assert nf(x) != nf_oracle(x)
@@ -337,12 +362,11 @@ def word_star(w):
 
 def star_matches_reference(x, star=AlgElement.star) -> bool:
     """Whether ``star`` takes x to the reference's star of each word, and
-    back to x, with letters from the algebra's table."""
+    back to x."""
     y = star(x)
-    table = x.alg.star_of
-    return (y.terms == {word_star(w): c for w, c in x.terms.items()}
-            and star(y).terms == x.terms
-            and all(table[table[l]] is l for w in y.terms for l in w))
+    named = x.alg.named
+    return (named(y) == {word_star(w): c for w, c in named(x).items()}
+            and star(y).terms == x.terms)
 
 
 @settings(max_examples=100, deadline=None)
@@ -365,12 +389,13 @@ def test_star_reference_catches_a_star_that_keeps_the_order(A23):
 
 
 @st.composite
-def operand_pairs(draw):
-    """Two elements over one carrier: words from several start vertices,
-    vertex words among them; one walk w split twice as w = h1 t1 = h2 t2
-    with coefficients that cancel in the product; and a word ending in e*
-    beside a word starting with an edge f of e's group, often e itself."""
-    alg = draw(carriers((0, 1, 2)))
+def operand_pairs(draw, algebras=carriers((0, 1, 2))):
+    """Two elements over one carrier drawn from ``algebras``: words from
+    several start vertices, vertex words among them; one walk w split twice
+    as w = h1 t1 = h2 t2 with coefficients that cancel in the product; and a
+    word ending in e* beside a word starting with an edge f of e's group,
+    often e itself."""
+    alg = draw(algebras)
     d = alg.sep.graph
     sides = [{}, {}]
     for terms in sides:
@@ -403,7 +428,7 @@ def operand_pairs(draw):
 def test_products_pair_only_words_that_meet(pair):
     a, b = pair
     prod = a * b
-    assert prod.terms == mul_by_all_pairs(a, b)
+    assert a.alg.named(prod) == mul_by_all_pairs(a, b)
     assert 0 not in prod.terms.values()
 
 
@@ -415,14 +440,16 @@ def test_seam_rule_keeps_normal_forms(pair):
     assert nf(a * b) == nf(raw)
 
 
-def collapse_at_source(alg, e, entry):
-    """Mutant (e*, e) entry: e* e gives s(e), not r(e)."""
-    return ((alg.ends[(e, DIRECT)][0], VERTEX),), entry[1]
+def collapse_at_source(alg, ghost, rule):
+    """Mutant e* e rule at the ghost e*: e* e gives the ghost's range s(e),
+    not r(e)."""
+    return (alg.rng[ghost],), rule[1]
 
 
-def drop_every_pair(alg, e, entry):
-    """Mutant (e*, e) entry: e* e dies with the rest of e's group."""
-    return entry[0], ()
+def drop_every_pair(alg, ghost, rule):
+    """Mutant e* e rule at the ghost e*: e* e dies with the rest of e's
+    group."""
+    return rule[0], ()
 
 
 @pytest.mark.parametrize("mutant", [collapse_at_source, drop_every_pair])
@@ -432,22 +459,25 @@ def test_oracles_catch_seam_mutants(A23, monkeypatch, mutant):
     a = A23.element({(("e1", GHOST),): 1,
                      (("e3", DIRECT), ("e2", GHOST)): 2})
     b = A23.edge("e1") + A23.edge("e2") + A23.edge("f1")
-    assert (a * b).terms == mul_by_all_pairs(a, b)
+    assert A23.named(a * b) == mul_by_all_pairs(a, b)
     raw = A23.element(mul_by_all_pairs(a, b, seam=False))
     assert nf(raw) == nf_oracle(raw)
+    rules = list(A23.rules)
     for e in A23.sep.graph.edge_names:
-        key = ((e, GHOST), (e, DIRECT))
-        monkeypatch.setitem(A23.rules, key, mutant(A23, e, A23.rules[key]))
-    assert (a * b).terms != mul_by_all_pairs(a, b)
+        ghost = letter_id(A23, (e, GHOST))
+        rules[ghost] = mutant(A23, ghost, rules[ghost])
+    monkeypatch.setattr(A23, "rules", rules)
+    assert A23.named(a * b) != mul_by_all_pairs(a, b)
     assert nf(raw) != nf_oracle(raw)
 
 
 @settings(max_examples=100, deadline=None)
 @given(carriers((1, 2)))
 def test_every_overlap_resolves(alg):
-    # one (e*, e) entry per edge and one (e, e*) entry per group
+    # one e* e rule per edge and one e e* rule per group
     groups = sum(len(gs) for _, gs in alg.sep.separation)
-    assert len(alg.rules) == len(alg.sep.graph.edges) + groups
+    assert sum(rule is not None for rule in alg.rules) == \
+        len(alg.sep.graph.edges) + groups
     assert unresolved_overlaps(alg) == []
 
 
@@ -534,7 +564,7 @@ def test_element_takes_only_words_of_the_graph(A23):
     with pytest.raises(AlgebraError, match="do not meet"):
         A23.element({(e1, e2): 1})
     x = A23.element({(e1, ("e2", GHOST)): 2, (("v", VERTEX),): 0})
-    assert x.terms == {(e1, ("e2", GHOST)): 2}
+    assert A23.named(x) == {(e1, ("e2", GHOST)): 2}
 
 
 # --- basis ---------------------------------------------------------------------
@@ -554,7 +584,7 @@ def test_basis_words_are_normal_and_distinct(A23):
 
 def test_basis_restricted_to_source(A23):
     for w in basis_words(A23, 2, start="w"):
-        assert A23.ends[w[0]][0] == "w"
+        assert letter_ends(A23.sep.graph, w[0])[0] == "w"
 
 
 def test_basis_counts_grow(A23):
@@ -647,7 +677,8 @@ def int_elements(draw):
             word = (draw(st.sampled_from(letters)),)
             for _ in range(draw(st.integers(0, 3))):
                 nxt = [l for l in letters
-                       if alg.ends[l][0] == alg.ends[word[-1]][1]]
+                       if letter_ends(alg.sep.graph, l)[0]
+                       == letter_ends(alg.sep.graph, word[-1])[1]]
                 if not nxt:
                     break
                 word += (draw(st.sampled_from(nxt)),)
@@ -666,8 +697,154 @@ def test_scaling_commutes_with_normalizing(x, r):
 
 def test_scale_keeps_rationals_exact(A23):
     r = Fraction(3, 2)
-    assert A23.vertex("v").scale(r).terms == {(("v", VERTEX),): r}
+    assert A23.named(A23.vertex("v").scale(r)) == {(("v", VERTEX),): r}
     x = nf((A23.edge("e3") * A23.ghost("e3")).scale(r))
     assert sorted(x.terms.values()) == [-r, -r, r]
     assert nf(A23.vertex("v").scale(Fraction(1, 2))
               + A23.vertex("v").scale(Fraction(1, 2))) == A23.vertex("v")
+
+
+# --- the int core against the name-keyed reference ------------------------------
+
+
+def collect(terms, word, coeff):
+    c = terms.get(word, 0) + coeff
+    if c:
+        terms[word] = c
+    else:
+        terms.pop(word, None)
+
+
+class NamedCore:
+    """Reference for the core over letter ids: the name-keyed tables,
+    product and normal form that it replaced, on (name, kind) words.  The
+    rule table maps a redex's letter pair to the vertex word left when a
+    splice is empty and the (letters, sign) pairs spliced in its place."""
+
+    def __init__(self, sep):
+        d = sep.graph
+        self.ends = {(v, VERTEX): (v, v) for v in d.vertices}
+        self.ends.update(((e, DIRECT), (s, r)) for e, s, r in d.edges)
+        self.ends.update(((e, GHOST), (r, s)) for e, s, r in d.edges)
+        self.group_of = sep.group_of
+        self.rules = {((e, GHOST), (e, DIRECT)): (((r, VERTEX),), (((), 1),))
+                      for e, _, r in d.edges}
+        for v, groups in sep.separation:
+            for grp in groups:
+                e = max(grp)
+                self.rules[(e, DIRECT), (e, GHOST)] = ((v, VERTEX),), (
+                    ((), 1), *((((g, DIRECT), (g, GHOST)), -1)
+                               for g in grp if g != e))
+
+    def mul(self, a, b):
+        """The product of two term dicts, as ``AlgElement.__mul__`` was."""
+        ends, group_of, rules = self.ends, self.group_of, self.rules
+        loose, grouped, by_first = {}, {}, {}
+        for wb, cb in b.items():
+            name, kind = first = wb[0]
+            if kind == DIRECT:
+                grouped.setdefault(ends[first][0], {}).setdefault(
+                    group_of[name][0], []).append((wb, cb))
+                by_first.setdefault(name, []).append((wb, cb))
+            else:
+                loose.setdefault(ends[first][0], []).append((wb, cb))
+        out = {}
+        for wa, ca in a.items():
+            name, kind = last = wa[-1]
+            v = ends[last][1]
+            buckets = grouped.get(v)
+            head = () if kind == VERTEX else wa
+            for wb, cb in loose.get(v, ()):
+                collect(out, wa if head and wb[0][1] == VERTEX
+                        else head + wb, ca * cb)
+            for key, bucket in buckets.items() if buckets else ():
+                if kind == GHOST and group_of[key] is group_of[name]:
+                    continue
+                for wb, cb in bucket:
+                    collect(out, head + wb, ca * cb)
+            if kind == GHOST and name in by_first:
+                u, splices = rules[last, (name, DIRECT)]
+                for wb, cb in by_first[name]:
+                    for mid, sign in splices:
+                        collect(out, wa[:-1] + mid + wb[1:] or u,
+                                sign * ca * cb)
+        return out
+
+    def first_redex(self, word):
+        group_of, rules = self.group_of, self.rules
+        for i in range(len(word) - 1):
+            a, b = word[i], word[i + 1]
+            if a[1] == GHOST:
+                if b[1] == DIRECT and group_of[a[0]] is group_of[b[0]]:
+                    return i
+            elif b[1] == GHOST and a[0] == b[0] and (a, b) in rules:
+                return i
+        return None
+
+    def normal_form(self, terms):
+        """The normal form of a term dict, as ``normal_form`` was."""
+        pending = dict(terms)
+        done = {}
+        while pending:
+            word, coeff = pending.popitem()
+            i = self.first_redex(word)
+            if i is None:
+                collect(done, word, coeff)
+                continue
+            u, splices = self.rules.get((word[i], word[i + 1]), (None, ()))
+            head, tail = word[:i], word[i + 2:]
+            for mid, sign in splices:
+                collect(pending, head + mid + tail or u, sign * coeff)
+        return done
+
+
+def format_named(terms):
+    """Reference for ``format_element``, on a term dict of (name, kind)
+    words."""
+    if not terms:
+        return "0"
+    parts = []
+    for word in sorted(terms, key=lambda w: (len(w), w)):
+        coeff = terms[word]
+        body = " ".join(n + "*" if k == GHOST else n for n, k in word)
+        mag = abs(coeff)
+        txt = body if mag == 1 else f"{mag} {body}"
+        if not parts:
+            parts.append(txt if coeff > 0 else "-" + txt)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + txt)
+    return " ".join(parts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(st.one_of(carriers((1, 2)),
+                               st.sampled_from(CARRIERS).map(StarAlgebra))))
+def test_int_core_matches_the_named_reference(pair):
+    a, b = pair
+    alg = a.alg
+    ref = NamedCore(alg.sep)
+    ta, tb = alg.named(a), alg.named(b)
+    prod = a * b
+    assert alg.named(prod) == ref.mul(ta, tb)
+    assert alg.named(a.star()) == {word_star(w): c for w, c in ta.items()}
+    raw = alg.element(mul_by_all_pairs(a, b, seam=False))
+    nf_raw = nf(raw)
+    assert alg.named(nf_raw) == ref.normal_form(alg.named(raw))
+    assert alg.named(nf(prod)) == ref.normal_form(alg.named(prod))
+    for x in (a, b, prod, nf_raw, a.star()):
+        assert format_element(x) == format_named(alg.named(x))
+
+
+def test_named_reference_catches_a_mutant_product(A23, monkeypatch):
+    # e1* e1 collapses to s(e1) = v under the mutant rule, not to r(e1) = w
+    a = A23.ghost("e1") + A23.edge("e3")
+    b = A23.edge("e1")
+    ref = NamedCore(A23.sep)
+    assert A23.named(a * b) == ref.mul(A23.named(a), A23.named(b))
+    ghost = letter_id(A23, ("e1", GHOST))
+    rules = list(A23.rules)
+    rules[ghost] = collapse_at_source(A23, ghost, rules[ghost])
+    monkeypatch.setattr(A23, "rules", rules)
+    assert A23.named(a * b) != ref.mul(A23.named(a), A23.named(b))
+    assert A23.named(nf(a * b)) != \
+        ref.normal_form(ref.mul(A23.named(a), A23.named(b)))
