@@ -29,7 +29,8 @@ from .graphio import (
 )
 from .graphs import GraphError, WeightedGraph, is_vertex_weighted, validate
 from .homs import MAPS, evaluate, ideal_generators, phi1, relations, verify
-from .staralg import AlgebraError, StarAlgebra, format_element, normal_form
+from .staralg import (AlgebraError, StarAlgebra, designated, format_element,
+                      normal_form)
 
 _EXIT = {"ok": 0, "fail": 1, "error": 2, "unknown": 3}
 
@@ -47,8 +48,7 @@ def _prov(graph=None, alg=None, budget=None) -> dict:
         out["graph_sha256"] = graph_sha256(graph)
     if alg is not None:
         out["normal_form_graph_sha256"] = graph_sha256(alg.sep)
-        # the designated edge of each group is its greatest (``staralg``)
-        out["designated_edges"] = {v: [max(grp) for grp in groups]
+        out["designated_edges"] = {v: [designated(grp) for grp in groups]
                                    for v, groups in alg.sep.separation}
     if budget is not None:
         out["budget"] = {"coord_sum": budget.coord_sum,

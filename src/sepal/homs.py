@@ -357,13 +357,15 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
     g = as_bipartite(g)
     resolved = cons.one_step_resolution(g)
     alg = StarAlgebra(resolved)
-    ne = alg.ghosts - alg.nv  # a direct letter's ghost is ne ids on
+    ghosts: list[dict] = [{} for _ in g.graph.edges]  # one group per edge
+    for a in range(alg.nv, alg.ghosts):
+        ghosts[alg.group[a]][(alg.star_of[a],)] = 1
     images: dict[str, AlgElement] = {}
-    groups = iter(alg.groups)
+    spawned = iter(ghosts)
     for w in g.lower:
         images[w] = alg.vertex(w)
-        for x, grp in zip(g.graph.in_edges[w], groups):
-            images[x] = AlgElement(alg, {(a + ne,): 1 for a in grp})
+        for x, terms in zip(g.graph.in_edges[w], spawned):
+            images[x] = AlgElement(alg, terms)
     start = len(g.lower)
     for u in g.upper:
         stop = start + math.prod(map(len, g.sep[u]))

@@ -19,11 +19,11 @@ V+E..V+2E-1.  A word is a tuple of letter ids, the key of
 * ``star_of``, e to e* and back, a vertex to itself; ``AlgElement.star``
   reverses each word through it;
 * ``group``, the id of e's group, shared by e and e*, and -1 at a vertex;
-  group k, in separation order, holds the direct letters ``groups[k]``;
+  groups are numbered in separation order;
 * ``rules``, at letter l the rewrite of the redex l star_of[l], or None:
   the vertex word left when a splice is empty and the (letters, sign)
   pairs spliced in the pair's place.  Every ghost has one, and so does the
-  designated (greatest) edge of each group:
+  edge ``designated`` in each group, its greatest:
 
   * e* e -> r(e), splicing in ((), +1), for every edge e;
   * e e* -> s(e), splicing in ((), +1) and ((g, g*), -1) for each other
@@ -69,6 +69,12 @@ class AlgebraError(ValueError):
     """Ill-typed algebra operation (unknown name, mixed graphs, ...)."""
 
 
+def designated(group: tuple[str, ...]) -> str:
+    """The edge of a separation group that keeps the rule e e* -> s(e) -
+    sum of the others: its greatest."""
+    return max(group)
+
+
 class StarAlgebra:
     """Carrier for elements over one separated graph.
 
@@ -100,17 +106,14 @@ class StarAlgebra:
         self.rules: list = [None] * self.ghosts
         self.rules += [(unit[r], _DROP_PAIR) for r in ranges]
         self.group = [-1] * (nv + 2 * ne)
-        self.groups: list[tuple[int, ...]] = []
-        for v, groups in sep.separation:
-            for grp in groups:
-                k = len(self.groups)
-                members = tuple(eid[e] for e in grp)
-                self.groups.append(members)
-                for a in members:
-                    self.group[a] = self.group[a + ne] = k
-                e = eid[max(grp)]
-                self.rules[e] = unit[vid[v]], (((), 1), *(
-                    ((a, a + ne), -1) for a in members if a != e))
+        groups = [(v, grp) for v, gs in sep.separation for grp in gs]
+        for k, (v, grp) in enumerate(groups):
+            members = [eid[e] for e in grp]
+            for a in members:
+                self.group[a] = self.group[a + ne] = k
+            e = eid[designated(grp)]
+            self.rules[e] = unit[vid[v]], (((), 1), *(
+                ((a, a + ne), -1) for a in members if a != e))
 
     def same_carrier(self, other: "StarAlgebra") -> bool:
         return self is other or self.sep == other.sep
@@ -278,13 +281,9 @@ class AlgElement:
         return AlgElement(alg, out)
 
     def star(self) -> "AlgElement":
-        # one-letter words, every word of a phi0 image, skip the reversal
-        star_of = self.alg.star_of
-        flip = star_of.__getitem__
-        return AlgElement(self.alg, {
-            ((star_of[w[0]],) if len(w) == 1
-             else tuple(map(flip, reversed(w)))): c
-            for w, c in self.terms.items()})
+        flip = self.alg.star_of.__getitem__
+        return AlgElement(self.alg, {tuple(map(flip, reversed(w))): c
+                                     for w, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AlgElement)

@@ -1,12 +1,14 @@
 """Smoke runs of the scripts in ``scripts/``, so a renamed library name
 they use breaks a test instead of the script alone."""
 
+import gc
 import os
 import pathlib
 import re
 import runpy
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -68,12 +70,38 @@ def test_gc_census_counts_collections_and_times_jobs():
                           r"\((\d+\.\d) gen2 per 1,000 jobs\)", collections)
     assert counts and float(counts[2]) == round(1000 * int(counts[1]) / 9, 1)
     assert re.fullmatch(r"job ms: p50 \d+\.\d\d, p99 \d+\.\d\d", times)
-    live = re.fullmatch(r"tracked objects: ([\d,]+) after input generation, "
-                        r"([\d,]+) after the loop", heap)
+    live = re.fullmatch(r"tracked objects: ([\d,]+) once the first job is "
+                        r"drawn, ([\d,]+) after the loop", heap)
     assert live
     # the library and the workload's inputs are live before the loop
     assert int(live[1].replace(",", "")) > 1000
     assert int(live[2].replace(",", "")) > 1000
+
+
+def test_gc_census_counts_the_heap_with_a_lazy_first_input(monkeypatch,
+                                                           capsys):
+    # a workload that makes each input only when its job is drawn, as
+    # resolve-wide does: the first count must hold the first job's input
+    script = runpy.run_path(str(ROOT / "scripts" / "gc_census.py"))
+    before = []
+
+    def generate(S, seed):
+        while True:
+            before.append(len(gc.get_objects()))
+            yield [[] for _ in range(20_000)]
+
+    lazy = SimpleNamespace(generate=generate, run=lambda S, job: None,
+                           check=lambda S, job, out: None)
+    monkeypatch.setitem(script["main"].__globals__, "WORKLOADS",
+                        {"lazy": lazy})
+    monkeypatch.setattr(sys, "argv", ["gc_census.py", "--workload", "lazy",
+                                      "--jobs", "2"])
+    assert script["main"]() == 0
+    heap = capsys.readouterr().out.splitlines()[3]
+    first = int(re.match(r"tracked objects: ([\d,]+)", heap)[1]
+                .replace(",", ""))
+    # other objects come and go in between; the input's 20,000 lists stay
+    assert first > before[0] + 10_000
 
 
 class ClosedPipe:
