@@ -4,13 +4,15 @@
 Resolving a bipartite separated graph swaps the levels and multiplies out
 the choice tuples, so layer sizes can grow brutally fast.  This prints a
 per-layer table (vertices, edges, group count) for E(m, n) or a graph file,
-stopping at the edge cap rather than thrashing.
+stopping at the tower's cap on edges and name characters rather than
+thrashing.
 """
 
 import argparse
 import sys
 
-from sepal.constructions import ResourceLimitError, bratteli, build_emn
+from sepal.constructions import (TOWER_CAP, ResourceLimitError, bratteli,
+                                 build_emn)
 from sepal.graphio import ParseError, load_graph
 from sepal.graphs import GraphError, as_bipartite
 
@@ -21,13 +23,16 @@ def main() -> int:
     ap.add_argument("--m", type=int, default=2)
     ap.add_argument("--n", type=int, default=3)
     ap.add_argument("--depth", type=int, default=4)
-    ap.add_argument("--cap", type=int, default=200000,
-                    help="stop before a layer would exceed this many edges")
+    ap.add_argument("--cap", type=int, default=TOWER_CAP,
+                    help="stop before the tower would hold more than this "
+                         "many edges and name characters")
     args = ap.parse_args()
     if args.depth < 0:
         ap.error("--depth must be nonnegative")
     if args.cap < 1:
         ap.error("--cap must be positive")
+    if args.cap > TOWER_CAP:
+        ap.error(f"--cap must be at most {TOWER_CAP}")
 
     try:
         if args.graph:
@@ -57,8 +62,8 @@ def main() -> int:
     print(f"union: {len(union.graph.vertices)} vertices, "
           f"{len(union.graph.edges)} edges")
     if capped:
-        print(f"(stopped early: the next layer would exceed "
-              f"{args.cap} edges)")
+        print(f"(stopped early: the next layer would take the tower past "
+              f"{args.cap} edges and name characters)")
     return 0
 
 

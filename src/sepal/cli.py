@@ -396,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=int, default=cons.TOWER_CAP)
     p.add_argument("--set", default="")
     p.set_defaults(handler=_cmd_construct)
 

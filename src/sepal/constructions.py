@@ -47,6 +47,19 @@ The layout of a one-step resolution is a contract too, and
   spawned by ``in_edges(w)[j]``;
 * the names within a group are sorted.
 
+The names of a resolution are positions in that layout.  The t-th choice
+tuple under upper vertex u is the vertex ``u:t``.  An edge x at position i
+of a tuple spawns one edge per rest, the tuple with position i left out;
+the one for the j-th rest, in the product order of the other groups, is
+``x:j``; no other builder and nothing in the element grammar uses ``:``.
+So a new name is one old name, a colon and an index, and a name
+at layer k of a tower is at most k indices longer than an input name.
+The new names are distinct: the text after a name's last ``:`` is an
+integer, so a name gives back its old name and its index, and a valid
+graph never names a vertex and an edge alike.  Input names may hold
+``:``, so a new name can still equal a kept lower vertex, or a name of an
+earlier layer; ``_refuse_repeats`` and the union check refuse those.
+
 ``homs.phi0`` reads its images off the vertex runs and the group order.
 
 Union k of a Bratteli tower extends union k-1 by layer k's new lower
@@ -61,9 +74,10 @@ sets by NextClosure, at most k closures per set found on k vertices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import chain, product, repeat
-from typing import Iterable, Sequence
+from itertools import chain, product
+from typing import Iterable
 
 from .graphs import (
     BipartiteSeparatedGraph,
@@ -82,6 +96,13 @@ from .graphs import (
 
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
+
+
+# the most edges ``build_emn`` builds, and the default and largest cap of
+# a ``bratteli`` tower
+TOWER_CAP = 10 ** 6
+# the most sets ``enumerate_hsat`` lists, and ``monoids.order_ideal_oracle``
+MAX_HSAT_SETS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +125,12 @@ def name_h(v: str, i: int) -> str:
     return f"h({v},{i})"
 
 
-def name_tuple_vertex(parts: Sequence[str]) -> str:
-    return "v(" + ",".join(parts) + ")"
+def name_tuple_vertices(u: str, count: int) -> list[str]:
+    return [f"{u}:{t}" for t in range(count)]
 
 
-def name_alpha(over: str, rest: Sequence[str]) -> str:
-    return f"a^{over}(" + ",".join(rest) + ")"
+def name_spawned(x: str, count: int) -> list[str]:
+    return [f"{x}:{j}" for j in range(count)]
 
 
 def name_slot_vertex(e: str, i: int) -> str:
@@ -124,20 +145,10 @@ def name_edge_slot(e: str, i: int) -> str:
     return f"a^{e}({i})"
 
 
-# a name built with a blank for one part, then filled with each value of
-# that part; no valid name holds whitespace, so the blank is the only one
-_BLANK = " "
-
-
-def _fill(templates: list[str], part: str) -> list[str]:
-    """The names in ``templates`` with ``part`` in place of the blank."""
-    return list(map(str.replace, templates, repeat(_BLANK), repeat(part)))
-
-
 def _refuse_repeats(names: list[str], what: str) -> None:
     """``GraphError`` naming the first name that ``names`` holds twice.
     Generated names share the name space of the input, so a generated name
-    can repeat a kept one, or two different parts can join to one name."""
+    can repeat a kept one."""
     if len(set(names)) < len(names):
         seen: set[str] = set()
         twice = next(x for x in names if x in seen or seen.add(x))
@@ -150,9 +161,13 @@ def _refuse_repeats(names: list[str], what: str) -> None:
 
 def build_emn(m: int, n: int) -> BipartiteSeparatedGraph:
     """Two vertices, n+m parallel edges v->w, outgoing fiber split into a
-    group of n and a group of m edges."""
+    group of n and a group of m edges.  ``ResourceLimitError`` past
+    ``TOWER_CAP`` (10^6) edges."""
     if m < 1 or n < m:
         raise GraphError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if n + m > TOWER_CAP:
+        raise ResourceLimitError(
+            f"E({m},{n}) has {n + m:,} edges, more than {TOWER_CAP:,}")
     edges = [(f"e{i}", "v", "w") for i in range(1, n + 1)]
     edges += [(f"f{i}", "v", "w") for i in range(1, m + 1)]
     graph = DirectedGraph.make(("v", "w"), edges)
@@ -204,18 +219,15 @@ def separated_of_vertex_weighted(g: WeightedGraph) -> BipartiteSeparatedGraph:
 def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
     """Resolve each upper fiber: new lower vertices are the choice tuples
     across the groups of an upper vertex, and each old edge x spawns the
-    group of edges a^x(rest) out of r(x), one per complementary tuple.
+    group of edges out of r(x), one per complementary tuple (rest).
 
-    The layout is the one the module docstring states: new lower vertices
-    in product order per upper vertex, edges tuple-major and then by
-    position, group j at w spawned by ``in_edges(w)[j]``, and the names
-    within a group sorted.
-
-    Each upper vertex is built one column per position.  ``name_alpha``
-    names each rest once, with a blank for the spawning edge, and each
-    edge of the group fills the blank (``name_tuple_vertex`` likewise
-    names the tuples with a blank first entry); so no helper runs per
-    edge, and the edge triples are zipped from the columns.
+    The layout and the names are the ones the module docstring states: the
+    t-th tuple under u is ``u:t``, and the j-th rest of x gives ``x:j``;
+    new lower vertices in product order per upper vertex, edges
+    tuple-major and then by position, group j at w spawned by
+    ``in_edges(w)[j]``, and the names within a group sorted.  Each upper
+    vertex is built one column per position, and the edge triples are
+    zipped from the columns.
     """
     g = as_bipartite(g)
     if not g.is_proper:
@@ -226,16 +238,13 @@ def one_step_resolution(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
     spawned: dict[str, list[str]] = {}
     for u in g.upper:
         groups = g.sep[u]
-        templates = [name_tuple_vertex((_BLANK, *rest))
-                     for rest in product(*groups[1:])]
-        tuple_vertices = [v for x in groups[0] for v in _fill(templates, x)]
+        size = math.prod(map(len, groups))
+        tuple_vertices = name_tuple_vertices(u, size)
         columns = []
-        after = len(tuple_vertices)
-        for i, grp in enumerate(groups):
+        after = size
+        for grp in groups:
             after //= len(grp)
-            templates = [name_alpha(_BLANK, rest) for rest in
-                         product(*groups[:i], *groups[i + 1:])]
-            names = [_fill(templates, x) for x in grp]
+            names = [name_spawned(x, size // len(grp)) for x in grp]
             spawned.update(zip(grp, names))
             # the names x spawns run over the rests, prefix first; tuple
             # order puts x between the prefix and the suffix, so cut each
@@ -310,27 +319,64 @@ class BratteliTower:
     unions: tuple[SeparatedGraph, ...]
 
 
+def _digits_below(n: int) -> int:
+    """The decimal digits of 0, 1, ..., n - 1 together."""
+    total, power = n, 10
+    while power < n:
+        total += n - power
+        power *= 10
+    return total
+
+
+def _resolution_size(g: BipartiteSeparatedGraph) -> int:
+    """The edges of ``one_step_resolution(g)`` plus the characters of its
+    new names, in closed form from the naming rule: the T tuples under u
+    add T names ``u:t``, and each x of a group of size s adds T / s names
+    ``x:j``."""
+    size = 0
+    for u in g.upper:
+        groups = g.sep[u]
+        tuples = math.prod(map(len, groups))
+        size += tuples * (len(u) + 1 + len(groups)) + _digits_below(tuples)
+        for grp in groups:
+            rests = tuples // len(grp)
+            size += (sum(map(len, grp)) + len(grp)) * rests \
+                + len(grp) * _digits_below(rests)
+    return size
+
+
 def bratteli(g: BipartiteSeparatedGraph, depth: int,
-             cap: int = 10 ** 6) -> BratteliTower:
+             cap: int = TOWER_CAP) -> BratteliTower:
     """The first ``depth`` resolutions of g and their unions.  Union k
     extends union k-1 by layer k's new lower vertices, edges and groups;
-    ``GraphError`` if that would repeat a name of union k-1, and
-    ``ResourceLimitError`` before a layer would exceed ``cap`` edges."""
+    ``GraphError`` if that would repeat a name of union k-1.
+
+    ``ResourceLimitError`` before a layer is built if the tower would then
+    hold more than ``cap`` edges and name characters, and for a ``cap``
+    above ``TOWER_CAP`` (10^6).  The count runs over the whole tower: each
+    layer's edges and new names, and each union's edges and names, since
+    the tower holds every union and union k repeats all below it.  A count
+    of one layer would not bound the tower: E(1,1) has two edges per layer
+    and names that grow by two characters per layer, so every layer would
+    pass while the unions grew without bound in the depth.
+    """
     g = as_bipartite(g)
     if depth < 0:
         raise GraphError("depth must be nonnegative")
+    if cap > TOWER_CAP:
+        raise ResourceLimitError(
+            f"a tower cap of {cap:,} is past the limit of {TOWER_CAP:,}")
+    union = len(g.edges) + sum(map(len, g.vertices + g.graph.edge_names))
+    spent = union
     layers = [g]
     for _ in range(depth):
         top = layers[-1]
-        size = 0
-        for u in top.upper:
-            tuples = 1
-            for grp in top.sep[u]:
-                tuples *= len(grp)
-            size += tuples * len(top.sep[u])
-            if size > cap:
-                raise ResourceLimitError(
-                    f"next layer would exceed {cap} edges")
+        layer = _resolution_size(top)
+        union += layer
+        spent += layer + union
+        if spent > cap:
+            raise ResourceLimitError(
+                f"the tower would exceed {cap:,} edges and name characters")
         layers.append(one_step_resolution(top))
     # layer k+1's upper level is layer k's lower level, so union k extends
     # union k-1 by layer k's new lower vertices, edges and groups.  Only
@@ -428,6 +474,8 @@ def enumerate_hsat(g) -> list[frozenset[str]]:
     analysis", 1984): after H comes the closure of (H below v) + v for the
     last vertex v outside H whose closure adds nothing below v, found with
     at most k closures.  The tests compare it with a scan over all subsets.
+    Finding more than ``MAX_HSAT_SETS`` (2^16) sets raises
+    ``ResourceLimitError``: k isolated vertices give 2^k.
     """
     s = as_separated(g)
     vs = s.vertices
@@ -443,6 +491,9 @@ def enumerate_hsat(g) -> list[frozenset[str]]:
             if nxt & below[i] == low:
                 break
         found.append(nxt)
+        if len(found) > MAX_HSAT_SETS:
+            raise ResourceLimitError(
+                f"more than {MAX_HSAT_SETS:,} hereditary saturated sets")
     return sorted(found, key=lambda h: (len(h), sorted(h)))
 
 

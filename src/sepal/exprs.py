@@ -8,9 +8,11 @@ Grammar (whitespace separates factors, ``#`` is not special here):
     factor := NAME ['.' INT] ['*']
 
 Names are matched longest-first against the known vertex and edge names,
-so generated names containing parentheses or commas tokenize without
-quoting.  The ``.`` index form addresses the slot generators of a weighted
-graph and is rejected elsewhere.  A postfix ``*`` stars the factor.
+so a name that holds punctuation tokenizes without quoting: the colons of
+resolved names (``v:3``, ``e1:0:2``) and the parentheses and commas of the
+companions' names (``v(e,1)``, ``a^e(1)``).  The ``.`` index form
+addresses the slot generators of a weighted graph and is rejected
+elsewhere.  A postfix ``*`` stars the factor.
 ``staralg.format_element`` prints an element back in this grammar.
 """
 

@@ -51,8 +51,8 @@ such output through the public constructors and validate it afresh):
 * ``separated_of_vertex_weighted``: each kind of name ends in its own
   character, and reads back the input name it came from;
 * ``separated_of_weighted`` and ``one_step_resolution``:
-  ``_refuse_repeats`` checks the names, and the groups cover each fiber
-  by construction;
+  ``_refuse_repeats`` checks the names against the input's, and the groups
+  cover each fiber by construction;
 * ``bratteli``'s unions 1 and up: a valid union and a valid layer, whose
   new names it tests for disjointness from the union's.
 """

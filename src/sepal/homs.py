@@ -347,7 +347,7 @@ def phi0(g: BipartiteSeparatedGraph) -> GeneratorMap:
 
     Upper vertices go to the sum of their choice-tuple vertices, lower
     vertices stay put, and an edge x goes to the sum of the ghosts of the
-    group x spawned, the a^x(...)* over the complementary tuples.  The
+    group x spawned, the x:j* over the complementary tuples.  The
     images are letter ids read off the layout of a one-step resolution that
     the ``constructions`` docstring fixes: each upper vertex's tuple
     vertices are one run of ids, after g's lower vertices and in the order
@@ -442,6 +442,11 @@ def _format_word(word: GenWord) -> str:
 # The commutator family normalizes one commutator per pair of distinct range
 # projections; past this many pairs it refuses rather than run for minutes.
 MAX_COMMUTATOR_PAIRS = 1 << 17
+# Words of unitaries never die out and give one projection, so neither the
+# words nor the pairs stop by themselves: a loop alone in its group gives
+# 2^L words of length L, and a one-edge graph two words of each length.
+MAX_COMMUTATOR_BOUND = 32
+MAX_COMMUTATOR_WORDS = 1 << 12
 
 
 def _semigroup_words(names: list[str], compose, bound: int):
@@ -469,8 +474,10 @@ def ideal_generators(kind: str, g, bound: int | None = None,
     resolution map.  ``commutator``: commutators of range projections
     u u* over semigroup words up to ``bound`` letters (indexed generators
     count as one letter and map through phi1); it raises
-    ``ResourceLimitError`` as soon as the distinct projections found give
-    more than ``MAX_COMMUTATOR_PAIRS`` pairs.
+    ``ResourceLimitError`` for a bound above ``MAX_COMMUTATOR_BOUND`` (32)
+    before any word is listed, and as soon as the words listed pass
+    ``MAX_COMMUTATOR_WORDS`` (2^12) or the distinct projections found give
+    more than ``MAX_COMMUTATOR_PAIRS`` (2^17) pairs.
     ``hsat``: the vertices of a hereditary group-saturated set.
     """
     if kind == "i0":
@@ -510,6 +517,10 @@ def ideal_generators(kind: str, g, bound: int | None = None,
     if kind == "commutator":
         if bound is None or bound < 1:
             raise GraphError("commutator generators need a word bound >= 1")
+        if bound > MAX_COMMUTATOR_BOUND:
+            raise cons.ResourceLimitError(
+                f"commutator generators refused: word bound {bound:,} is "
+                f"more than {MAX_COMMUTATOR_BOUND}")
         if isinstance(g, WeightedGraph):
             gmap = phi1(g)
             d = g.graph
@@ -534,7 +545,11 @@ def ideal_generators(kind: str, g, bound: int | None = None,
             return letter_ends(l1)[1] == letter_ends(l2)[0]
 
         projections: dict = {}
-        for w in _semigroup_words(names, compose, bound):
+        for listed, w in enumerate(_semigroup_words(names, compose, bound)):
+            if listed == MAX_COMMUTATOR_WORDS:
+                raise cons.ResourceLimitError(
+                    "commutator generators refused: more than "
+                    f"{MAX_COMMUTATOR_WORDS} semigroup words")
             acc = evaluate({w: 1}, gmap)
             p = normal_form(acc * acc.star())
             if p.is_zero:

@@ -36,6 +36,22 @@ Matrix = tuple[tuple[int, ...], ...]
 
 # the most partitions or matrices one listing makes; past it, it refuses
 MAX_LISTED = 1 << 20
+# the most cells of an m x n slot grid, and the most parts one listing of
+# partitions holds: ``mnlab refinement --json`` on 2^16 cells prints 7 MB in
+# about 1 s, on 2^20 cells 118 MB in 14 s
+MAX_CELLS = 1 << 16
+
+
+def _check_grid(m: int, n: int) -> None:
+    """``GraphError`` unless m, n >= 1, and ``ResourceLimitError`` past
+    ``MAX_CELLS`` (2^16) cells of the m x n slot grid, before any is
+    built."""
+    if m < 1 or n < 1:
+        raise GraphError("need m >= 1 and n >= 1")
+    if m * n > MAX_CELLS:
+        raise cons.ResourceLimitError(
+            f"a {m:,} x {n:,} slot grid refused: more than {MAX_CELLS:,} "
+            "cells")
 
 
 @dataclass(frozen=True)
@@ -46,9 +62,8 @@ class MnPartition:
 
     @staticmethod
     def make(m: int, n: int, parts) -> "MnPartition":
+        _check_grid(m, n)
         parts = tuple(int(x) for x in parts)
-        if m < 1 or n < 1:
-            raise GraphError("need m >= 1 and n >= 1")
         if len(parts) != m:
             raise GraphError(f"expected {m} parts, got {len(parts)}")
         if parts[0] != n:
@@ -63,20 +78,25 @@ class MnPartition:
 def partitions(m: int, n: int) -> list[MnPartition]:
     """All (m, n) partitions, in decreasing lexicographic order: n, then
     each weakly decreasing choice of m - 1 parts from n, ..., 1.  There
-    are C(n + m - 2, m - 1) of them; past ``MAX_LISTED`` (2^20) it raises
-    ``ResourceLimitError`` before it lists any."""
-    if m < 1 or n < 1:
-        raise GraphError("need m >= 1 and n >= 1")
+    are C(n + m - 2, m - 1) of them; past ``MAX_LISTED`` (2^20) of them,
+    or ``MAX_CELLS`` (2^16) cells of the m x n grid or parts in all, it
+    raises ``ResourceLimitError`` before it lists any."""
+    _check_grid(m, n)
     count = math.comb(n + m - 2, m - 1)
     if count > MAX_LISTED:
         raise cons.ResourceLimitError(
             f"listing {count:,} ({m}, {n}) partitions refused: more than "
             f"{MAX_LISTED:,}")
+    if count * m > MAX_CELLS:
+        raise cons.ResourceLimitError(
+            f"listing {count:,} partitions of {m:,} parts refused: more "
+            f"than {MAX_CELLS:,} parts")
     return [MnPartition(m, n, (n, *rest)) for rest in
             itertools.combinations_with_replacement(range(n, 0, -1), m - 1)]
 
 
 def minimal_partition(m: int, n: int) -> MnPartition:
+    _check_grid(m, n)
     return MnPartition.make(m, n, (n,) + (1,) * (m - 1))
 
 
@@ -124,6 +144,7 @@ def ideal_matrices(m: int, n: int) -> list[Matrix]:
     lexicographic order.  Entry (i, j) = 1 marks slot vertex v(e_j, i) of the
     completed graph staying outside the ideal.  Past 2^(m n) >
     ``MAX_LISTED`` candidate matrices it raises ``ResourceLimitError``."""
+    _check_grid(m, n)
     if 1 << (m * n) > MAX_LISTED:
         raise cons.ResourceLimitError(
             f"enumeration over 2^{m * n} matrices refused")
@@ -168,6 +189,7 @@ def example_58_map(m: int, n: int) -> GeneratorMap:
     other generator dies.  All defining relations map to zero."""
     if not 1 <= m <= n:
         raise GraphError("need 1 <= m <= n")
+    _check_grid(m, n)
     rose = rose_graph(n - m + 1)
     alg = StarAlgebra(rose)
     images = {"v": alg.vertex("v")}
@@ -182,6 +204,13 @@ def example_58_map(m: int, n: int) -> GeneratorMap:
     return GeneratorMap("example58", alg, images)
 
 
+# The run time of ``example_59_report``: its verify multiplies about
+# m n (m + n) terms and the Smith form of its presentation takes about n^3
+# steps.  60 m n (m + n) + n^3 took 0.37 to 0.49 s per 10^7 over eight
+# cases from (3, 320) to (100, 100), one Xeon vCPU, so the cap is ~3 s.
+EXAMPLE_59_COST = 6 * 10 ** 7
+
+
 def example_59_report(m: int, n: int,
                       budget: monoids.Budget = monoids.Budget()) -> dict:
     """Full invariant tour of the minimal partition (n, 1, ..., 1).
@@ -190,10 +219,17 @@ def example_59_report(m: int, n: int,
     universal group and least (p, q) pair, the order-ideal lattice with its
     unique proper nonzero member, the quotient by that ideal, and the
     diagonal assignment of the completed graph onto a rose, with every
-    claim recomputed rather than assumed.
+    claim recomputed rather than assumed.  ``ResourceLimitError`` before
+    any work when 60 m n (m + n) + n^3 passes ``EXAMPLE_59_COST`` (6 * 10^7,
+    about 3 s): (3, 320) and (60, 60) run, (3, 400) and (80, 80) do not.
     """
     if not 3 <= m <= n:
         raise GraphError("need 3 <= m <= n")
+    cost = 60 * m * n * (m + n) + n ** 3
+    if cost > EXAMPLE_59_COST:
+        raise cons.ResourceLimitError(
+            f"example 5.9 at ({m}, {n}) refused: cost {cost:,} is more than "
+            f"{EXAMPLE_59_COST:,}")
     p0 = minimal_partition(m, n)
     g = partition_to_weighted(p0)
     pres = monoids.m1_of(g)

@@ -458,7 +458,8 @@ def order_ideal_oracle(p: MonoidPresentation) -> list[frozenset[str]]:
     supp(l) -> supp(r) and supp(r) -> supp(l), so Ganter's NextClosure
     lists them in lectic order with at most k closures per set found
     (B. Ganter, "Two basic algorithms in concept analysis", 1984).
-    Finding more than 2^16 of them is refused.
+    Finding more than ``constructions.MAX_HSAT_SETS`` (2^16) of them is
+    refused.
     """
     k = len(p.generators)
     rules = []
@@ -489,7 +490,7 @@ def order_ideal_oracle(p: MonoidPresentation) -> list[frozenset[str]]:
             if nxt & (bit - 1) == low:
                 break
         found.append(nxt)
-        if len(found) > 1 << 16:
+        if len(found) > cons.MAX_HSAT_SETS:
             raise cons.ResourceLimitError(
                 f"oracle refused after {len(found)} order ideals")
     out = [frozenset(g for i, g in enumerate(p.generators) if s >> i & 1)

@@ -9,11 +9,13 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepal.cli import _EXIT, _build_parser, main
 from sepal.graphio import load_graph, parse_graph, print_graph
 from sepal.graphs import validate
-from test_constructions import BAD_BIP, NAME_COLLISIONS, hsat_by_scan
+from test_constructions import (BAD_BIP, COLLISION_IDS, NAME_COLLISIONS,
+                                hsat_by_scan)
 from test_graphio import MALFORMED_SEPARATIONS, malformed_separation_text
 
 
@@ -148,7 +150,7 @@ def test_verify_sweep(kind, graphs, relations):
 
 
 @pytest.mark.parametrize("verb, text, message", NAME_COLLISIONS,
-                         ids=["kept-vertex", "joined-tuples", "slot-vertex"])
+                         ids=COLLISION_IDS)
 def test_construct_refuses_colliding_names(tmp_path, verb, text, message):
     path = tmp_path / "graph.txt"
     path.write_text(text)
@@ -199,7 +201,10 @@ def test_json_runs_are_byte_identical(e23_path, omega0_path, wmax22_path):
 # verify and ideal-gens digests were recorded while the algebra core kept
 # every coefficient as a Fraction; the construct, monoid and mnlab ones while
 # every constructor re-validated its output and enumerate_hsat scanned small
-# graphs subset by subset.  The report bytes must depend on neither.
+# graphs subset by subset.  The report bytes must depend on neither.  The
+# e23 phi0, resolve and bratteli digests were recorded when a resolution
+# began to name its tuples and spawned edges by position (u:t and x:j);
+# the reports before differ from these only by that rename.
 JSON_DIGESTS = [
     ("nf", "e23", "3/2 e3 e3*",
      "cb1caaa517f8c92ee6120aeb8cc015a3f074fa6dc3b5e416bdc1a68939066b2a"),
@@ -216,7 +221,7 @@ JSON_DIGESTS = [
     ("verify", "omega0_35", "phi1",
      "bb5c0d05438a198c2162b843aecd8230fb29d0deb9270876924af18169c5a8d9"),
     ("verify", "e23", "phi0",
-     "6782e096180b36dae4e3616300a582f13754d900d536720839795838991d6c34"),
+     "bb1193220870d712a4291c1b4e6f0fa259e68adc073e9684528eeeb405fc29a8"),
     ("verify", "e23", "rho-tau",
      "d7f28fe360a44619ff31d651fc294696ef44dfb437546f0b1923fb867f485770"),
     ("ideal-gens", "e23", "kernel",
@@ -230,9 +235,9 @@ JSON_DIGESTS = [
     ("ideal-gens", "omega0_35", "commutator",
      "d1fae51a1f4eb11b583e021eeeb8511ceda28c152afde5a87d0e77e6a63d3fa6"),
     ("construct", "e23", "resolve",
-     "ae390a1e455024fad8ba991199c109f6e1b1ca06360bf603b818931eedfd37b2"),
+     "871b21c77287f6bbd3e2e4bec63a51c172056d0a8fdf8d7f205fa27f602f74cb"),
     ("construct", "e23", "bratteli",
-     "669df9a368762937de9ab23c1a5a71c3403df5c74e9104bbd3e27863f908d080"),
+     "6359b98e6462a036ff64b4793295eb873eb0ccd05dcfa232eb7d426c45b5ca1a"),
     ("construct", "omega0_35", "w2sep",
      "4241955f9809e0f7c6a79da0d562f4d1e878ebdf7c83f79be2b0882eecc338ff"),
     ("monoid", "omega0_35", "order-ideals",
@@ -628,3 +633,223 @@ def test_json_envelope_shape(e23_path):
     assert set(doc) == {"command", "status", "payload", "provenance"}
     assert doc["command"] == "validate"
     assert doc["status"] == "ok"
+
+
+# --- sizes past a cap ---------------------------------------------------------------
+
+def _emn_file(tmp_path, m, n):
+    code, text = run("construct", "emn", "--m", str(m), "--n", str(n))
+    assert code == 0
+    path = tmp_path / f"e{m}{n}.txt"
+    path.write_text("\n".join(l for l in text.splitlines()
+                              if not l.startswith("#")) + "\n")
+    return str(path)
+
+
+def test_a_deep_tower_is_refused_within_seconds(tmp_path):
+    # E(1,1) has two edges per layer, but its names grow, and the count of
+    # the whole tower passes the cap near depth 100
+    t0 = time.perf_counter()
+    code, text = run("construct", "bratteli", "--graph",
+                     _emn_file(tmp_path, 1, 1), "--depth", "1000000000")
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert text == ("error: the tower would exceed 1,000,000 edges and "
+                    "name characters\n")
+    code, text = run("construct", "bratteli", "--graph",
+                     _emn_file(tmp_path, 1, 1), "--cap", "1000000000")
+    assert code == 2
+    assert text == ("error: a tower cap of 1,000,000,000 is past the limit "
+                    "of 1,000,000\n")
+
+
+def test_a_depth_12_tower_prints_little(tmp_path):
+    # 192 edges in the last layer; nested names printed 627,005,559 bytes
+    code, text = run("construct", "bratteli", "--graph",
+                     _emn_file(tmp_path, 1, 2), "--depth", "12")
+    assert code == 0
+    assert len(text) == 238795
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "emn", "--m", "1", "--n", "1000000000"),
+     "E(1,1000000000) has 1,000,000,001 edges, more than 1,000,000"),
+    (("mnlab", "refinement", "--m", "1000000000", "--n", "1000000000"),
+     "a 1,000,000,000 x 1,000,000,000 slot grid refused: more than 65,536 "
+     "cells"),
+    (("mnlab", "example59", "--m", "3", "--n", "400"),
+     "example 5.9 at (3, 400) refused: cost 93,016,000 is more than "
+     "60,000,000"),
+    (("mnlab", "partitions", "--m", "30000", "--n", "2"),
+     "listing 30,000 partitions of 30,000 parts refused: more than 65,536 "
+     "parts"),
+], ids=["emn", "refinement", "example59", "partitions"])
+def test_sizes_past_a_cap_exit_2(argv, message):
+    t0 = time.perf_counter()
+    code, text = run(*argv)
+    assert time.perf_counter() - t0 < 1
+    assert (code, text) == (2, f"error: {message}\n")
+
+
+def test_seventeen_isolated_vertices_are_refused(tmp_path):
+    path = tmp_path / "iso17.txt"
+    path.write_text("graph separated\n"
+                    + "".join(f"vertex v{i}\n" for i in range(17)))
+    for argv in (("hsat", "enumerate"), ("monoid", "order-ideals")):
+        code, text = run(*argv, "--graph", str(path))
+        assert (code, text) == (
+            2, "error: more than 65,536 hereditary saturated sets\n")
+
+
+def test_commutator_bound_is_capped(tmp_path):
+    # on one edge u -> w the words e e* e ... never die out and give two
+    # projections, so neither the words nor the pairs stop a large bound
+    path = tmp_path / "one.txt"
+    path.write_text("graph separated\nvertex u\nvertex w\nedge e = u -> w\n"
+                    "separation u : [e]\n")
+    code, text = run("ideal-gens", "--graph", str(path), "--kind",
+                     "commutator", "--bound", "1000000000")
+    assert (code, text) == (2, "error: commutator generators refused: word "
+                               "bound 1,000,000,000 is more than 32\n")
+    code, text = run("ideal-gens", "--graph", str(path), "--kind",
+                     "commutator", "--bound", "32")
+    assert code == 0
+    # a loop alone in its group is a unitary: 2^L words of length L
+    path.write_text("graph separated\nvertex v\nedge e = v -> v\n"
+                    "separation v : [e]\n")
+    t0 = time.perf_counter()
+    code, text = run("ideal-gens", "--graph", str(path), "--kind",
+                     "commutator", "--bound", "20")
+    assert time.perf_counter() - t0 < 5
+    assert (code, text) == (2, "error: commutator generators refused: more "
+                               "than 4096 semigroup words\n")
+
+
+# --- every size flag is capped -------------------------------------------------
+# cli.main in process over every verb, with small graph texts, valid and not,
+# and the size flags drawn up to 10^9: each run exits 0-3 without a
+# traceback, and a size past a cap exits 2 with that cap's message.
+
+SIZE_GRAPHS = {
+    "e11": "graph separated\nvertex v\nvertex w\nedge e1 = v -> w\n"
+           "edge f1 = v -> w\nseparation v : [e1] [f1]\n",
+    "one-edge": "graph separated\nvertex u\nvertex w\nedge e = u -> w\n"
+                "separation u : [e]\n",
+    "loop": "graph separated\nvertex v\nedge e = v -> v\nseparation v : [e]\n",
+    "weighted": "graph weighted\nvertex v\nvertex w\nedge e = v -> w\n"
+                "edge f = v -> v\nweight e = 2\nweight f = 1\n",
+    "isolated": "graph separated\nvertex v\nvertex w\n",
+    "zero-weight": "graph weighted\nvertex v\nedge e = v -> v\nweight e = 0\n",
+    "unknown-range": "graph separated\nvertex u\nedge e = u -> zz\n",
+    "syntax": "graph separated\nedge e v v\n",
+}
+# the graphs that every tower step accepts
+BIPARTITE = {"e11", "one-edge"}
+# per verb with sizes: the size flags, and one past each of its caps
+VERB_SIZES = {"construct": (("--m", "--n", "--depth", "--cap"), 10 ** 6 + 1),
+              "ideal-gens": (("--bound",), 33),
+              "mnlab": (("--m", "--n"), (1 << 16) + 1)}
+
+
+def sizes(verb: str, every: bool):
+    """The verb's size flags, each drawn small, up to 10^9 or one past a
+    cap, and each present if ``every`` or by chance.  The largest sizes a
+    cap lets through would only add seconds of output."""
+    flags, past = VERB_SIZES.get(verb, ((), None))
+    size = st.one_of(st.integers(-2, 40), st.integers(-2, 10 ** 9),
+                     st.sampled_from([past, 10 ** 9]))
+    drawn = {f: size for f in flags}
+    return st.fixed_dictionaries(drawn if every else {},
+                                 optional={} if every else drawn)
+
+
+VERB_ARGS = {
+    "validate": [()],
+    "construct": [(a,) for a in ("emn", "vw2sep", "w2sep", "resolve",
+                                 "bratteli", "quotient")],
+    "hsat": [(a, "--set", "v") for a in ("check", "closure", "enumerate")],
+    "nf": [("v",)],
+    "verify": [(m,) for m in ("phi", "phi1", "phi0", "rho-tau")],
+    "ideal-gens": [("--kind", k) for k in ("i0", "kernel", "commutator")],
+    "monoid": [(a, "--generator", "v") for a in (
+        "present", "grothendieck", "leavitt-type", "order-ideals")]
+    + [("congruent", "--x", "v", "--y", "2 v")],
+    "mnlab": [(a,) for a in ("partitions", "refinement", "ideal-matrices",
+                             "min-configs", "example59")],
+}
+
+
+def expected_cap_message(verb, args, graph, drawn) -> str | None:
+    """The message of the cap that ``drawn`` pass, when the run gets that
+    far: the graph parses and, for a tower, every step accepts it."""
+    m, n = drawn.get("--m", 1), drawn.get("--n", 1)
+    action = args[0] if args else None
+    if verb == "construct" and action == "emn" and 1 <= m <= n \
+            and m + n > 10 ** 6:
+        return "edges, more than 1,000,000"
+    if verb == "construct" and action == "bratteli" and graph in BIPARTITE \
+            and drawn.get("--depth", 1) >= 0:
+        if drawn.get("--cap", 10 ** 6) > 10 ** 6:
+            return "is past the limit of 1,000,000"
+        if drawn.get("--depth", 1) > 10 ** 6:
+            return "edges and name characters"
+    if verb == "ideal-gens" and args[1] == "commutator" and graph != "syntax" \
+            and drawn.get("--bound", 2) > 32:
+        return "is more than 32"
+    if verb == "mnlab" and m >= 1 and n >= 1:
+        if action == "example59":
+            if 3 <= m <= n and 60 * m * n * (m + n) + n ** 3 > 6 * 10 ** 7:
+                return "refused: cost"
+        elif m * n > 1 << 16:
+            return "slot grid refused: more than 65,536 cells"
+    return None
+
+
+@pytest.fixture(scope="module")
+def size_graph_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("sizes")
+    paths = {}
+    for name, text in SIZE_GRAPHS.items():
+        paths[name] = root / f"{name}.txt"
+        paths[name].write_text(text)
+    return paths
+
+
+ANY_RUN = st.tuples(st.sampled_from([(v, a) for v, args in VERB_ARGS.items()
+                                     for a in args]),
+                    st.sampled_from(sorted(SIZE_GRAPHS))).flatmap(
+    lambda run: st.tuples(st.just(run), sizes(run[0][0], every=False)))
+# the actions with a size cap, on graphs that get as far as the cap, with
+# every size flag of the verb drawn, so that a size past a cap is met often
+CAPPED_RUN = st.sampled_from(
+    [(("construct", ("emn",)), "e11")]
+    + [(("construct", ("bratteli",)), g) for g in sorted(BIPARTITE)]
+    + [(("ideal-gens", ("--kind", "commutator")), g)
+       for g in ("e11", "one-edge", "loop", "weighted")]
+    + [(("mnlab", args), "e11") for args in VERB_ARGS["mnlab"]]
+).flatmap(lambda run: st.tuples(st.just(run), sizes(run[0][0], every=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(ANY_RUN, CAPPED_RUN), st.booleans())
+def test_every_verb_exits_cleanly_at_any_size(size_graph_paths, run_on,
+                                              as_json):
+    ((verb, args), graph), drawn = run_on
+    if verb == "mnlab":
+        drawn = {"--m": 1, "--n": 1, **drawn}
+    argv = [verb, *args]
+    if verb != "mnlab" and not (verb == "construct" and args[0] == "emn"):
+        argv += ["--graph", str(size_graph_paths[graph])]
+    for flag, value in drawn.items():
+        argv += [flag, str(value)]
+    buf = io.StringIO()
+    try:
+        code = main((["--json"] if as_json else []) + argv, stdout=buf)
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    message = expected_cap_message(
+        verb, args, None if verb == "mnlab" else graph, drawn)
+    if message is not None:
+        assert code == 2, argv
+        assert message in buf.getvalue(), argv

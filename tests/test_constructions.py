@@ -6,6 +6,7 @@ import operator
 import pathlib
 import random
 import textwrap
+import time
 from collections import Counter
 
 import pytest
@@ -87,27 +88,42 @@ def hsat_by_search(g) -> list[frozenset[str]]:
 # the quotient of the resolved completion by the hidden slot vertices, up to
 # the rename below.
 
+def thm310_tuples(g: WeightedGraph):
+    """(e, j, tuple vertex, edge spawned by h, edge spawned by e~) for each
+    edge e and slot j <= weight(s(e)): the names that the resolution of
+    the completion's double gives the tuple (e~, h(s,j)) at s_0, read off
+    the positions a of e~ and b of h(s,j) in the two groups at s_0: the
+    tuple is number a * |hs| + b, and the rest of h is number a, of e~
+    number b."""
+    double = cons.separated_of_vertex_weighted(cons.weighted_completion(g))
+    for e, s, _ in g.graph.edges:
+        u, tilde = cons.name_upper_copy(s), cons.name_tilde(e)
+        tildes, hs = double.sep[u]
+        a = tildes.index(tilde)
+        for j in range(1, vertex_weight(g, s) + 1):
+            h = cons.name_h(s, j)
+            b = hs.index(h)
+            yield e, j, f"{u}:{a * len(hs) + b}", f"{h}:{a}", f"{tilde}:{b}"
+
+
 def thm310_hidden_vertices(g: WeightedGraph) -> frozenset[str]:
     """Tuple vertices of the resolved completion that track the weight
-    slots missing from g: v(e~,h(v,j)) for weight(e) < j."""
-    return frozenset(
-        cons.name_tuple_vertex((cons.name_tilde(e), cons.name_h(s, j)))
-        for e, s, _ in g.graph.edges
-        for j in range(g.w[e] + 1, vertex_weight(g, s) + 1))
+    slots missing from g: the tuples (e~, h(v,j)) for weight(e) < j."""
+    return frozenset(tv for e, j, tv, _, _ in thm310_tuples(g)
+                     if j > g.w[e])
 
 
 def thm310_rename(g: WeightedGraph) -> dict[str, str]:
     """Rename table from resolved-completion names to the direct companion
-    names of ``separated_of_weighted``: v(e~,h(v,j)) -> v(e,j),
-    a^h(v,i)(e~) -> a{i}(e), a^e~(h(v,i)) -> a^e(i), v_1 -> v."""
+    names of ``separated_of_weighted``: the tuple (e~, h(v,i)) -> v(e,i),
+    the edge h(v,i) spawns there -> a{i}(e), the one e~ spawns -> a^e(i),
+    and v_1 -> v."""
     table = {cons.name_lower_copy(v): v for v in g.graph.vertices}
-    for e, s, _ in g.graph.edges:
-        for i in range(1, g.w[e] + 1):
-            tilde, h = cons.name_tilde(e), cons.name_h(s, i)
-            table[cons.name_tuple_vertex((tilde, h))] = \
-                cons.name_slot_vertex(e, i)
-            table[cons.name_alpha(h, (tilde,))] = cons.name_slot_edge(i, e)
-            table[cons.name_alpha(tilde, (h,))] = cons.name_edge_slot(e, i)
+    for e, i, tv, by_h, by_tilde in thm310_tuples(g):
+        if i <= g.w[e]:
+            table[tv] = cons.name_slot_vertex(e, i)
+            table[by_h] = cons.name_slot_edge(i, e)
+            table[by_tilde] = cons.name_edge_slot(e, i)
     return table
 
 
@@ -220,15 +236,15 @@ def test_resolution_count_formula():
 
 
 def test_resolution_singleton_groups_degenerate():
-    # every group a singleton: one tuple per upper vertex, alpha over empty rest
+    # every group a singleton: one tuple per upper vertex, and one edge,
+    # for the empty rest
     d = DirectedGraph.make(("u", "w"), [("e", "u", "w")])
     s = SeparatedGraph.make(d, {"u": [["e"]]})
     from sepal.graphs import BipartiteSeparatedGraph
     b = BipartiteSeparatedGraph.make(s)
     res = cons.one_step_resolution(b)
-    assert res.lower == ("v(e)",)
-    assert len(res.edges) == 1
-    assert res.edges[0][1] == "w"
+    assert res.lower == ("u:0",)
+    assert res.edges == (("e:0", "w", "u:0"),)
 
 
 def test_resolution_requires_proper():
@@ -465,12 +481,12 @@ def test_bratteli_layer_counts(e23):
 
 
 def spawned_by_names(g: BipartiteSeparatedGraph, x: str) -> list[str]:
-    """The names a^x(rest) of the group that edge x spawns, rest running
-    over the tuples of the other groups at s(x)."""
+    """The names x:j of the group that edge x spawns, j running over the
+    tuples of the other groups at s(x)."""
     groups = g.sep[g.graph.src(x)]
     i = next(k for k, grp in enumerate(groups) if x in grp)
     others = groups[:i] + groups[i + 1:]
-    return [cons.name_alpha(x, rest) for rest in itertools.product(*others)]
+    return [f"{x}:{j}" for j in range(math.prod(map(len, others)))]
 
 
 def phi0_by_names(g: BipartiteSeparatedGraph, alg: StarAlgebra) -> dict:
@@ -479,8 +495,8 @@ def phi0_by_names(g: BipartiteSeparatedGraph, alg: StarAlgebra) -> dict:
     images = {w: alg.vertex(w) for w in g.lower}
     for u in g.upper:
         total = alg.zero()
-        for tup in itertools.product(*g.sep[u]):
-            total = total + alg.vertex(cons.name_tuple_vertex(tup))
+        for t in range(math.prod(map(len, g.sep[u]))):
+            total = total + alg.vertex(f"{u}:{t}")
         images[u] = total
     for x in g.graph.edge_names:
         total = alg.zero()
@@ -518,6 +534,9 @@ def _tower_bases() -> list[BipartiteSeparatedGraph]:
     return out
 
 
+# the E(m, n) of the benchmark's resolve-wide cases
+RESOLVE_EMN = ((1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3))
+
 # the upper vertex v sits between the two lower ones in the vertex order
 MIXED_LEVELS = BipartiteSeparatedGraph.make(SeparatedGraph.make(
     DirectedGraph.make(("w", "v", "x"), [("e", "v", "w"), ("f", "v", "x"),
@@ -542,19 +561,38 @@ def test_resolution_layout_matches_the_names(g, depth):
         assert union == want
 
 
-def resolution_by_tuples(g: BipartiteSeparatedGraph) -> BipartiteSeparatedGraph:
+def positional_tuple(u: str, t: int, tup: tuple) -> str:
+    return f"{u}:{t}"
+
+
+def positional_edge(x: str, j: int, rest: tuple) -> str:
+    return f"{x}:{j}"
+
+
+def resolution_by_tuples(g: BipartiteSeparatedGraph,
+                         tuple_name=positional_tuple,
+                         edge_name=positional_edge) -> BipartiteSeparatedGraph:
     """Reference for ``one_step_resolution``: one loop over the choice
-    tuples, naming every edge a^x(rest) with its own ``name_alpha`` call."""
+    tuples, naming the t-th tuple under u ``tuple_name(u, t, tuple)`` and
+    the edge that x at position i spawns ``edge_name(x, j, rest)``, for the
+    rest, the tuple less position i, and its number j among the rests,
+    looked up in a table of its own.  The default names are ``u:t`` and
+    ``x:j``."""
     d = g.graph
     new_lower: list[str] = []
     edges: list[tuple[str, str, str]] = []
     spawned: dict[str, list[str]] = {x: [] for x in d.edge_names}
     for u in g.upper:
-        for tup in itertools.product(*g.sep[u]):
-            tv = cons.name_tuple_vertex(tup)
+        groups = g.sep[u]
+        rests = [{rest: j for j, rest in enumerate(itertools.product(
+                      *groups[:i], *groups[i + 1:]))}
+                 for i in range(len(groups))]
+        for t, tup in enumerate(itertools.product(*groups)):
+            tv = tuple_name(u, t, tup)
             new_lower.append(tv)
             for i, x in enumerate(tup):
-                alpha = cons.name_alpha(x, tup[:i] + tup[i + 1:])
+                rest = tup[:i] + tup[i + 1:]
+                alpha = edge_name(x, rests[i][rest], rest)
                 spawned[x].append(alpha)
                 edges.append((alpha, d.rng(x), tv))
     sep = {w: [spawned[x] for x in d.in_edges[w]] for w in g.lower}
@@ -602,9 +640,9 @@ def mutant(fn, old: str, new: str):
 
 
 RESOLUTION_MUTANTS = {
-    "rests-over-reversed-groups":
-        ("product(*groups[:i], *groups[i + 1:])",
-         "product(*groups[i + 1:][::-1], *groups[:i][::-1])"),
+    "rests-numbered-backwards":
+        ("name_spawned(x, size // len(grp))",
+         "name_spawned(x, size // len(grp))[::-1]"),
     "columns-in-reversed-positions":
         ("zip(*columns)", "zip(*columns[::-1])"),
 }
@@ -618,51 +656,210 @@ def test_tuple_loop_catches_resolution_mutants(e23, old, new):
         e23, 2, mutant(cons.one_step_resolution, old, new))
 
 
-def test_each_resolved_edge_is_named_once(monkeypatch, e23):
-    # the builder calls name_alpha once per rest, with a blank for the
-    # spawning edge, and name_tuple_vertex once per rest of the first
-    # position; no helper runs per edge
-    calls = Counter()
-    for helper in ("name_alpha", "name_tuple_vertex"):
-        real = getattr(cons, helper)
-        monkeypatch.setattr(cons, helper, lambda *args, real=real, helper=helper:
-                            calls.update((helper,)) or real(*args))
-    tower = cons.bratteli(e23, 3)
-    rests = firsts = 0
-    for layer in tower.layers[:-1]:
-        for _, groups in layer.separation:
-            tuples = math.prod(map(len, groups))
-            rests += sum(tuples // len(grp) for grp in groups)
-            firsts += tuples // len(groups[0])
-    assert calls == {"name_alpha": rests, "name_tuple_vertex": firsts}
-    assert (rests, firsts) == (521, 182)
-    names = [e for layer in tower.layers[1:] for e in layer.graph.edge_names]
+# --- tower names ---------------------------------------------------------------
+# Resolutions once named the tuple (x, y, ...) under u "v(x,y,...)" and the
+# edge that x spawns with rest (y, ...) "a^x(y,...)", so each name held whole
+# names of the layer before and their length grew geometrically with the
+# depth.  Positional names must give the same graphs up to a rename.
+
+def nested_tuple(u: str, t: int, tup: tuple) -> str:
+    return "v(" + ",".join(tup) + ")"
+
+
+def nested_edge(x: str, j: int, rest: tuple) -> str:
+    return f"a^{x}(" + ",".join(rest) + ")"
+
+
+def renames_to_nested(layers) -> bool:
+    """Whether each of ``layers`` after the first is its resolution under
+    nested names, renamed by position: the k-th vertex and the k-th edge to
+    the k-th of the nested layer, the same rename over the whole tower and
+    injective, with vertex and edge order equal and groups equal as
+    sets."""
+    g = layers[0]
+    table = {x: x for x in g.vertices + g.graph.edge_names}
+    old = g
+    for layer in layers[1:]:
+        old = resolution_by_tuples(old, nested_tuple, nested_edge)
+        if (len(layer.vertices), len(layer.edges)) != \
+                (len(old.vertices), len(old.edges)):
+            return False
+        for new, was in (*zip(layer.vertices, old.vertices),
+                         *zip(layer.graph.edge_names, old.graph.edge_names)):
+            if table.setdefault(new, was) != was:
+                return False
+        if len(set(table.values())) < len(table):
+            return False
+        # make stores each group sorted, so equal values hold equal sets
+        if rename_graph(layer, table) != old:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(bipartite_sweep() + emn_sweep() + [MIXED_LEVELS]),
+       st.integers(1, 2))
+@example(cons.build_emn(2, 3), 2)
+@example(MIXED_LEVELS, 2)
+def test_tower_layers_equal_the_nested_names_up_to_a_rename(g, depth):
+    assert renames_to_nested(cons.bratteli(g, depth).layers)
+
+
+def nested_rename(layers) -> dict[str, str]:
+    """Each positional name of ``layers`` spelled out in nested names: the
+    tuple u:t is v(...) of the t-th choice tuple over u's groups, and the
+    edge x:j is a^x(...) of x's j-th rest, with every part spelled out."""
+    g = layers[0]
+    table = {x: x for x in g.vertices + g.graph.edge_names}
+    for layer in layers[:-1]:
+        for u in layer.upper:
+            groups = layer.sep[u]
+            for t, tup in enumerate(itertools.product(*groups)):
+                table[f"{u}:{t}"] = nested_tuple(u, t, tuple(map(table.get,
+                                                                 tup)))
+            for i, grp in enumerate(groups):
+                rests = itertools.product(*groups[:i], *groups[i + 1:])
+                for j, rest in enumerate(rests):
+                    for x in grp:
+                        table[f"{x}:{j}"] = nested_edge(
+                            table[x], j, tuple(map(table.get, rest)))
+    return table
+
+
+def test_deep_layers_are_the_nested_layers_under_the_spelled_out_rename(e23):
+    # from layer 3 on, a group of more than ten edges sorts x:10 before
+    # x:2, so the tuples are numbered in another order than under nested
+    # names and the rename is no longer by position; each layer is still
+    # the nested one with every name spelled out
+    layers = cons.bratteli(e23, 3).layers
+    assert renames_to_nested(layers[:3])
+    assert not renames_to_nested(layers)
+    table = nested_rename(layers)
+    assert len(set(table.values())) == len(table)
+    old = e23
+    for layer in layers[1:]:
+        old = resolution_by_tuples(old, nested_tuple, nested_edge)
+        assert same_bipartite_structure(rename_graph(layer, table), old)
+
+
+def test_rename_check_catches_schemes_that_break_the_layout(e23):
+    # a scheme that drops t names two tuples alike, which the resolution
+    # refuses; a layout with the positions of each tuple reversed renames
+    # to no nested layer
+    drop_t = mutant(cons.one_step_resolution, "name_tuple_vertices(u, size)",
+                    "name_tuple_vertices(u, 1) * size")
+    with pytest.raises(GraphError) as exc:
+        drop_t(e23)
+    assert str(exc.value) == \
+        "the one-step resolution would use the name 'v:0' twice"
+    reverse = mutant(cons.one_step_resolution, "zip(*columns)",
+                     "zip(*columns[::-1])")
+    assert renames_to_nested([e23, cons.one_step_resolution(e23)])
+    assert not renames_to_nested([e23, reverse(e23)])
+
+
+def test_tower_names_grow_linearly_with_the_depth():
+    # each layer adds one index to a name: on E(1,2) the longest name at
+    # layer k is at most the longest input name plus k (1 + the digits of
+    # the largest index); here every index is 0 or 1, so it is 2 + 2k
+    g = cons.build_emn(1, 2)
+    tower = cons.bratteli(g, 16)
+    longest_input = max(map(len, g.vertices + g.graph.edge_names))
+    largest = 0
+    for k, layer in enumerate(tower.layers[1:], 1):
+        new = layer.lower + layer.graph.edge_names
+        largest = max(largest, *(int(x.rpartition(":")[2]) for x in new))
+        bound = longest_input + k * (1 + len(str(largest)))
+        assert max(map(len, new)) <= bound
+        assert max(map(len, new)) == 2 + 2 * k
+    # E(2,3) to layer 3, whose longest nested edge name had 98 characters
+    layers = cons.bratteli(cons.build_emn(2, 3), 3).layers
+    names = [e for layer in layers[1:] for e in layer.graph.edge_names]
     assert len(set(names)) == len(names) == 10740
-    calls.clear()
-    gmap = phi0(tower.layers[1])
-    assert calls["name_alpha"] == 156       # the rests at w, once each
-    assert len(gmap.meta["resolution"].edges) == 360
+    assert max(map(len, names)) == 10
 
 
-# (construct verb, graph text, the name generated twice): a generated name
-# can equal a kept vertex, two choice tuples can join to one name, and a
-# slot vertex can equal an input vertex
+def tower_fits(g, depth: int, cap: int) -> bool:
+    try:
+        cons.bratteli(g, depth, cap=cap)
+    except cons.ResourceLimitError:
+        return False
+    return True
+
+
+def test_tower_cap_counts_edges_and_name_characters_of_the_whole_tower():
+    # E(1,1) keeps two edges per layer while its names grow, so only a
+    # count over the whole tower stops it
+    g = cons.build_emn(1, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(cons.ResourceLimitError) as exc:
+        cons.bratteli(g, 10 ** 9)
+    assert time.perf_counter() - t0 < 5
+    assert str(exc.value) == \
+        "the tower would exceed 1,000,000 edges and name characters"
+    # the unions hold about d^3 names' characters at depth d
+    deepest = next(d for d in itertools.count()
+                   if not tower_fits(g, d + 1, cons.TOWER_CAP))
+    assert deepest == 102
+    with pytest.raises(cons.ResourceLimitError) as exc:
+        cons.bratteli(g, 1, cap=cons.TOWER_CAP + 1)
+    assert str(exc.value) == \
+        "a tower cap of 1,000,001 is past the limit of 1,000,000"
+
+
+# (m, n, depth) of the towers that the benchmark's resolve-wide workload
+# builds under the default cap; E(2,3) to depth 3 is the largest
+RESOLVE_TOWERS = ((2, 3, 3), (2, 3, 2), (2, 2, 3), (3, 3, 2), (2, 4, 2),
+                  (2, 2, 2), (1, 4, 4), (1, 3, 4))
+
+
+def test_the_benchmark_towers_fit_under_the_default_cap():
+    for m, n, depth in RESOLVE_TOWERS:
+        assert tower_fits(cons.build_emn(m, n), depth, cons.TOWER_CAP)
+    union = cons.bratteli(cons.build_emn(2, 3), 3).unions[-1]
+    assert len(union.edges) == 10745
+
+
+@pytest.mark.parametrize("g", [cons.build_emn(m, n) for m, n in RESOLVE_EMN]
+                         + [MIXED_LEVELS, cons.build_emn(1, 1)],
+                         ids=[f"E({m},{n})" for m, n in RESOLVE_EMN]
+                         + ["mixed-levels", "E(1,1)"])
+def test_tower_cap_is_the_count_of_what_the_tower_holds(g):
+    # the closed form, checked against the tower built: the base once as
+    # union 0, then every layer's edges and new names, and every union's
+    # edges and names
+    tower = cons.bratteli(g, 2)
+
+    def size(graph, names):
+        return len(graph.edges) + sum(map(len, names))
+
+    held = sum(size(layer, layer.lower + layer.graph.edge_names)
+               for layer in tower.layers[1:])
+    held += sum(size(union, union.vertices + union.graph.edge_names)
+                for union in tower.unions)
+    assert tower_fits(g, 2, held)
+    assert not tower_fits(g, 2, held - 1)
+
+
+# (construct verb, graph text, the name generated twice): a tuple vertex or
+# a spawned edge can take the name of a kept lower vertex, and a slot vertex
+# can equal an input vertex
 NAME_COLLISIONS = [
-    ("resolve", "graph separated\nvertex u\nvertex v(e)\n"
-     "edge e = u -> v(e)\nseparation u : [e]\n",
-     "the one-step resolution would use the name 'v(e)' twice"),
-    ("resolve", "graph separated\nvertex u\nvertex x\nvertex y\n"
-     "edge a = u -> x\nedge a,b = u -> x\nedge b,c = u -> y\n"
-     "edge c = u -> y\nseparation u : [a a,b] [b,c c]\n",
-     "the one-step resolution would use the name 'v(a,b,c)' twice"),
+    ("resolve", "graph separated\nvertex u\nvertex u:0\n"
+     "edge e = u -> u:0\nseparation u : [e]\n",
+     "the one-step resolution would use the name 'u:0' twice"),
+    ("resolve", "graph separated\nvertex u\nvertex e:0\n"
+     "edge e = u -> e:0\nseparation u : [e]\n",
+     "the one-step resolution would use the name 'e:0' twice"),
     ("w2sep", "graph weighted\nvertex u\nvertex v(e,1)\n"
      "edge e = u -> v(e,1)\nweight e = 1\n",
      "the direct companion would use the name 'v(e,1)' twice"),
 ]
+COLLISION_IDS = ["kept-vertex", "kept-vertex-as-edge", "slot-vertex"]
 
 
 @pytest.mark.parametrize("verb, text, message", NAME_COLLISIONS,
-                         ids=["kept-vertex", "joined-tuples", "slot-vertex"])
+                         ids=COLLISION_IDS)
 def test_generated_names_that_collide_are_refused(verb, text, message):
     g = parse_graph(text)
     assert validate(g) == []
@@ -681,35 +878,34 @@ def test_bratteli_cap(e23):
 
 
 def test_a_union_that_would_repeat_a_vertex_is_refused():
-    # every layer is valid, but layer 2's new lower vertex v(a^e(f)) is
-    # also a vertex of the base, so union 2 would list it twice
-    g = parse_graph("graph separated\nvertex u\nvertex w\nvertex v(a^e(f))\n"
-                    "edge e = u -> w\nedge f = u -> v(a^e(f))\n"
+    # every layer is valid, but layer 2's new lower vertex w:0 is also a
+    # vertex of the base, so union 2 would list it twice
+    g = parse_graph("graph separated\nvertex u\nvertex w\nvertex w:0\n"
+                    "edge e = u -> w\nedge f = u -> w:0\n"
                     "separation u : [e] [f]\n")
     assert validate(cons.one_step_resolution(cons.one_step_resolution(g))) == []
     assert validate(cons.bratteli(g, 1).unions[1]) == []
     with pytest.raises(GraphError) as exc:
         cons.bratteli(g, 2)
-    assert str(exc.value) == "union 2 would repeat vertex name 'v(a^e(f))'"
+    assert str(exc.value) == "union 2 would repeat vertex name 'w:0'"
 
 
 # Graphs whose every layer is valid, but where a new name of layer 2 is
 # already a name of union 1.  Over BASE_E alone, layer 2 holds the vertex
-# v(a^e(f)) and the edge a^a^e(f)(); each graph adds an upper vertex y
-# whose edge, or its edge's range, takes one of those names (ids: the kind
-# of the new name, then of the old one)
+# w:0 and the edge e:0:0; each graph adds an upper vertex y whose edge, or
+# its edge's range, takes one of those names (ids: the kind of the new
+# name, then of the old one)
 BASE_E = ("graph separated\nvertex u\nvertex w\nvertex x\nvertex y\n"
           "edge e = u -> w\nedge f = u -> x\nseparation u : [e] [f]\n")
-REPEATED_EDGE = parse_graph(BASE_E + "edge a^a^e(f)() = y -> x\n"
-                            "separation y : [a^a^e(f)()]\n")
+REPEATED_EDGE = parse_graph(BASE_E + "edge e:0:0 = y -> x\n"
+                            "separation y : [e:0:0]\n")
 UNION_COLLISIONS = [
-    (REPEATED_EDGE, "union 2 would repeat edge name 'a^a^e(f)()'"),
-    (parse_graph(BASE_E + "edge v(a^e(f)) = y -> x\n"
-                 "separation y : [v(a^e(f))]\n"),
-     "union 2 would repeat vertex name 'v(a^e(f))'"),
-    (parse_graph(BASE_E + "vertex a^a^e(f)()\nedge h = y -> a^a^e(f)()\n"
+    (REPEATED_EDGE, "union 2 would repeat edge name 'e:0:0'"),
+    (parse_graph(BASE_E + "edge w:0 = y -> x\nseparation y : [w:0]\n"),
+     "union 2 would repeat vertex name 'w:0'"),
+    (parse_graph(BASE_E + "vertex e:0:0\nedge h = y -> e:0:0\n"
                  "separation y : [h]\n"),
-     "union 2 would repeat edge name 'a^a^e(f)()'"),
+     "union 2 would repeat edge name 'e:0:0'"),
 ]
 
 
@@ -788,8 +984,7 @@ def born_valid_outputs(g) -> list:
     return [*tower.layers[1:], *tower.unions[1:]]
 
 
-# the E(m, n) of the benchmark's resolve-wide cases, and the fixtures
-RESOLVE_EMN = ((1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 3))
+# the fixtures
 FIXTURE_FILES = sorted((pathlib.Path(__file__).resolve().parent.parent
                         / "fixtures").glob("*.txt"))
 
@@ -825,7 +1020,7 @@ def test_born_valid_check_catches_a_union_without_the_name_check():
     tower = unchecked(REPEATED_EDGE, 2)
     assert unearned(tower.layers) == []
     assert unearned(tower.unions) == [tower.unions[2]]
-    assert "duplicate edge name 'a^a^e(f)()'" in fresh_report(tower.unions[2])
+    assert "duplicate edge name 'e:0:0'" in fresh_report(tower.unions[2])
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import itertools
+import math
 import textwrap
 from fractions import Fraction
 
@@ -137,17 +138,18 @@ def test_phi0_on_e23(e23):
 def phi0_images_by_name(g):
     """Reference for ``phi0``'s images, spelled from the names that the
     resolution gives its vertices and groups: a lower vertex w stays w, an
-    upper vertex u goes to the sum of its tuple vertices v(...), and an edge
-    x into w to the ghosts of group j at w, for x = in_edges(w)[j]."""
+    upper vertex u goes to the sum of its tuple vertices u:t, and an edge
+    x into w to the ghosts x:0, x:1, ... of group j at w, for
+    x = in_edges(w)[j]."""
     resolved = cons.one_step_resolution(g)
     images = {}
     for w in g.lower:
         images[w] = {((w, VERTEX),): 1}
         for x, grp in zip(g.graph.in_edges[w], resolved.sep[w]):
-            images[x] = {((a, GHOST),): 1 for a in grp}
+            images[x] = {((f"{x}:{j}", GHOST),): 1 for j in range(len(grp))}
     for u in g.upper:
-        images[u] = {((cons.name_tuple_vertex(tup), VERTEX),): 1
-                     for tup in itertools.product(*g.sep[u])}
+        images[u] = {((f"{u}:{t}", VERTEX),): 1
+                     for t in range(math.prod(map(len, g.sep[u])))}
     return images
 
 

@@ -43,10 +43,13 @@ def test_script_runs(name, args, line):
 @pytest.mark.parametrize("args, message", [
     (("--depth", "-1"), "bratteli_growth.py: error: --depth must be nonnegative"),
     (("--cap", "-5"), "bratteli_growth.py: error: --cap must be positive"),
+    (("--cap", "1000001"),
+     "bratteli_growth.py: error: --cap must be at most 1000000"),
     (("--m", "3", "--n", "2"), "error: need 1 <= m <= n, got m=3, n=2"),
     (("--graph", "BAD"), "error: not bipartite: edge 'e' has unknown range "
      "'zz'; separation does not cover s^-1(u): no groups given"),
-], ids=["negative-depth", "negative-cap", "m-above-n", "invalid-graph"])
+], ids=["negative-depth", "negative-cap", "cap-past-the-limit", "m-above-n",
+        "invalid-graph"])
 def test_bratteli_growth_refuses_bad_input(tmp_path, args, message):
     bad = tmp_path / "bad.txt"
     bad.write_text("graph separated\nvertex u\nedge e = u -> zz\n")
